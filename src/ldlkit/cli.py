@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import List, Optional, Sequence
 
@@ -104,8 +105,7 @@ def _tune(ds, train_idx, variant, hp, grid, seed, fit_kwargs) -> Hyperparams:
     inner = dio.kfold(len(train_idx), 5, seed)
     best = None
     for a, l in itertools.product(alphas, lams):
-        cand = Hyperparams(alpha=a, lam=l, degradation=hp.degradation,
-                           max_iters=hp.max_iters, tol=hp.tol)
+        cand = replace(hp, alpha=a, lam=l)
         kls = []
         for f in range(inner.k):
             tr, te = inner.split(f)
@@ -229,11 +229,9 @@ def cmd_sweep(args) -> int:
     rows: List[ResultRow] = []
     for value in values:
         if args.param == "alpha":
-            hp_v = Hyperparams(alpha=value, lam=hp.lam, degradation=hp.degradation,
-                               max_iters=hp.max_iters, tol=hp.tol)
+            hp_v = replace(hp, alpha=value)
         else:
-            hp_v = Hyperparams(alpha=hp.alpha, lam=value, degradation=hp.degradation,
-                               max_iters=hp.max_iters, tol=hp.tol)
+            hp_v = replace(hp, lam=value)
         tag = f"{variant.value}[{args.param}={value:g}]"
         rows += _cv_rows(ds, [variant], hp_v, args.folds, args.seed, _fit_kwargs(args),
                          variant_tag=lambda v, tag=tag: tag)

@@ -39,50 +39,41 @@ def _pair(d, p) -> tuple[np.ndarray, np.ndarray]:
     return d, p
 
 
+def _column_score(d, p, metric: str) -> float:
+    """One metric for a single distribution pair, via :func:`_per_instance_scores`."""
+    d, p = _pair(d, p)
+    scores = _per_instance_scores(d[:, np.newaxis], p[:, np.newaxis])
+    return float(scores[0, METRIC_NAMES.index(metric)])
+
+
 def chebyshev(d, p) -> float:
     """max_j |d_j - p_j|"""
-    d, p = _pair(d, p)
-    return float(np.max(np.abs(d - p)))
+    return _column_score(d, p, "chebyshev")
 
 
 def clark(d, p) -> float:
     """sqrt(sum_j (d_j - p_j)^2 / (d_j + p_j)^2), 0/0 terms counting as 0."""
-    d, p = _pair(d, p)
-    s = d + p
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(s > 0, ((d - p) / np.where(s > 0, s, 1.0)) ** 2, 0.0)
-    return float(np.sqrt(terms.sum()))
+    return _column_score(d, p, "clark")
 
 
 def canberra(d, p) -> float:
     """sum_j |d_j - p_j| / (d_j + p_j), 0/0 terms counting as 0."""
-    d, p = _pair(d, p)
-    s = d + p
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(s > 0, np.abs(d - p) / np.where(s > 0, s, 1.0), 0.0)
-    return float(terms.sum())
+    return _column_score(d, p, "canberra")
 
 
 def kl_divergence(d, p) -> float:
     """sum_j d_j log(d_j / p_j) with the prediction eps-smoothed."""
-    d, p = _pair(d, p)
-    q = np.maximum(p, KL_EPS)
-    q = q / q.sum()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(d > 0, d * np.log(np.where(d > 0, d, 1.0) / q), 0.0)
-    return float(terms.sum())
+    return _column_score(d, p, "kl")
 
 
 def cosine(d, p) -> float:
     """(d . p) / (||d|| ||p||)"""
-    d, p = _pair(d, p)
-    return float(d @ p / (np.linalg.norm(d) * np.linalg.norm(p)))
+    return _column_score(d, p, "cosine")
 
 
 def intersection(d, p) -> float:
     """sum_j min(d_j, p_j)"""
-    d, p = _pair(d, p)
-    return float(np.minimum(d, p).sum())
+    return _column_score(d, p, "intersection")
 
 
 @dataclass(frozen=True)

@@ -12,15 +12,19 @@ closed-form updates plus a singular-value-thresholding step:
                       + lam (||W||_F^2 + ||O||_F^2)
     subject to        W X' O = G.
 
-All subproblems are solved exactly (SPD factorizations, no explicit
-inverses), the coupling penalty grows geometrically up to ``mu_max``, and the
-stopping rule combines the relative constraint residual with the relative
-change of W.  Everything is deterministic: there is no randomized
-initialization.
+All subproblems are solved exactly (no explicit inverses), the coupling
+penalty grows geometrically up to ``mu_max``, and the stopping rule combines
+the relative constraint residual with the relative change of W.  Everything
+is deterministic: there is no randomized initialization.
+
+The O-step matrix is 2 lam I plus a rank-<=2m term, so its minimizer is
+exactly O = U K with U = [D' P'] (n x 2m) and K from a 2m x 2m solve; ``fit``
+carries O as those factors and never builds an n x n array.
 
 Ablation variants: ``ablation-a`` keeps the nuclear-norm pressure but applies
-it directly to the prediction W X' (no auxiliary task); ``ablation-b`` is
-plain ridge regression.
+it directly to the prediction W X' (no auxiliary task); it is the same loop
+with O held at the identity and the O-step skipped.  ``ablation-b`` is plain
+ridge regression.
 """
 from __future__ import annotations
 
@@ -30,6 +34,7 @@ from typing import List, Optional, Union
 import numpy as np
 import scipy.linalg
 
+from .data import standardize
 from .degrade import degrade
 from .errors import DimensionMismatch, SingularSystem, SvdFailure
 from .types import (
@@ -89,6 +94,44 @@ def _solve_spd(M: np.ndarray, B: np.ndarray, lam: float, what: str) -> np.ndarra
         raise SingularSystem(f"{what} system is numerically singular") from exc
 
 
+class _Mixing:
+    """Instance-mixing matrix O = U K held as its factors; U None means O = I.
+
+    ``A @ O`` multiplies through the factors, (A U) K, so the public steps
+    accept it wherever they accept a dense O.
+    """
+
+    __array_ufunc__ = None
+
+    def __init__(self, U: Optional[np.ndarray] = None, K: Optional[np.ndarray] = None):
+        self.U, self.K = U, K
+
+    def __rmatmul__(self, A: np.ndarray) -> np.ndarray:
+        return A if self.U is None else (A @ self.U) @ self.K
+
+
+def _o_factors(X, W, D, L, G, multipliers, penalty, lam):
+    """Factors U, K of the O-step minimizer O = U K.
+
+    With U = [D' P'] and C = diag(2 I_m, mu I_m), the O-step matrix is
+    U C U' + 2 lam I, and the push-through identity gives
+    K = (2 lam I + C U'U)^-1 [2 L; mu G - multipliers].
+    """
+    n, m = X.shape[0], D.shape[0]
+    if lam == 0.0 and n > 2 * m:
+        raise SingularSystem(
+            "O-step system is rank-deficient; a positive lambda is required"
+        )
+    U = np.hstack([D.T, (W @ X.T).T])                     # (n, 2m)
+    c = np.repeat([2.0, penalty], m)
+    M = c[:, np.newaxis] * (U.T @ U) + 2.0 * lam * np.eye(2 * m)
+    rhs = np.vstack([2.0 * L, penalty * G - multipliers])
+    try:
+        return U, np.linalg.solve(M, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem("O-step system is numerically singular") from exc
+
+
 def update_g(
     W: np.ndarray,
     X: np.ndarray,
@@ -143,13 +186,12 @@ def update_o(
     With P = W X' and mu the coupling penalty, O minimizes
     ||D O - L||^2 + lam ||O||^2 + mu/2 ||G - P O - multipliers/mu||^2:
 
-        O = (2 D'D + mu P'P + 2 lam I)^-1 (2 D'L + P'(mu G - multipliers)).
+        O = (2 D'D + mu P'P + 2 lam I)^-1 (2 D'L + P'(mu G - multipliers)),
+
+    computed through its factors (see :func:`_o_factors`).
     """
-    n = X.shape[0]
-    P = W @ X.T                       # (m, n)
-    M = 2.0 * (D.T @ D) + penalty * (P.T @ P) + 2.0 * lam * np.eye(n)
-    rhs = 2.0 * (D.T @ L) + P.T @ (penalty * G - multipliers)
-    return _solve_spd(M, rhs, lam, "O-step")
+    U, K = _o_factors(X, W, D, L, G, multipliers, penalty, lam)
+    return U @ K
 
 
 def update_multipliers(
@@ -189,35 +231,24 @@ def _nuclear_norm(A: np.ndarray) -> float:
     return float(np.linalg.svd(A, compute_uv=False).sum())
 
 
-def _objective_full(W, O, X, D, L, alpha, lam) -> float:
+def _objective(W, X, D, alpha, lam, L=None, O=_Mixing()) -> float:
+    """Objective of the loop; the O terms apply only when L is given."""
     P = W @ X.T
-    return float(
-        0.5 * np.linalg.norm(P - D) ** 2
-        + np.linalg.norm(D @ O - L) ** 2
-        + alpha * _nuclear_norm(P @ O)
-        + lam * (np.linalg.norm(W) ** 2 + np.linalg.norm(O) ** 2)
-    )
+    value = (0.5 * np.linalg.norm(P - D) ** 2
+             + alpha * _nuclear_norm(P @ O)
+             + lam * np.linalg.norm(W) ** 2)
+    if L is not None:
+        sq_norm_o = (((O.U.T @ O.U) @ O.K) * O.K).sum()        # ||U K||_F^2
+        value += np.linalg.norm(D @ O - L) ** 2 + lam * sq_norm_o
+    return float(value)
 
 
-def _objective_lowrank_pred(W, X, D, alpha, lam) -> float:
-    P = W @ X.T
-    return float(
-        0.5 * np.linalg.norm(P - D) ** 2
-        + alpha * _nuclear_norm(P)
-        + lam * np.linalg.norm(W) ** 2
-    )
-
-
-def _fit_full(X, D, L, hp: Hyperparams):
-    n = X.shape[0]
-    m = D.shape[0]
+def _admm(X, D, L, hp: Hyperparams):
+    """The splitting loop.  With L None (ablation-a) O stays I and the O-step
+    is skipped, so the nuclear norm falls on W X' itself."""
     W = _ridge(X, D, hp.lam)
-    O = np.eye(n)
-    state = SolverState(
-        aux=W @ X.T @ O,
-        multipliers=np.zeros((m, n)),
-        penalty=hp.mu0,
-    )
+    O = _Mixing()
+    state = SolverState(aux=W @ X.T @ O, multipliers=np.zeros(D.shape), penalty=hp.mu0)
     trace = []
     converged = False
     for _ in range(hp.max_iters):
@@ -225,39 +256,11 @@ def _fit_full(X, D, L, hp: Hyperparams):
         W_new = update_w(X, D, O, state.aux, state.multipliers, state.penalty, hp.lam)
         w_change = np.linalg.norm(W_new - W) / max(1.0, np.linalg.norm(W))
         W = W_new
-        O = update_o(X, W, D, L, state.aux, state.multipliers, state.penalty, hp.lam)
+        if L is not None:
+            O = _Mixing(*_o_factors(X, W, D, L, state.aux, state.multipliers,
+                                    state.penalty, hp.lam))
         state = update_multipliers(state, W, X, O, hp.mu_growth, hp.mu_max)
-        trace.append(_objective_full(W, O, X, D, L, hp.alpha, hp.lam))
-        if state.primal_residual <= hp.tol and w_change <= hp.tol:
-            converged = True
-            break
-    return W, O, state, trace, converged
-
-
-def _fit_lowrank_prediction(X, D, hp: Hyperparams):
-    """Ablation: nuclear norm on W X' itself, same splitting scheme, no O."""
-    n = X.shape[0]
-    m = D.shape[0]
-    W = _ridge(X, D, hp.lam)
-    Id = np.eye(X.shape[1])
-    In = np.eye(n)
-    state = SolverState(
-        aux=W @ X.T,
-        multipliers=np.zeros((m, n)),
-        penalty=hp.mu0,
-    )
-    trace = []
-    converged = False
-    for _ in range(hp.max_iters):
-        mu = state.penalty
-        state.aux = svt(W @ X.T + state.multipliers / mu, hp.alpha / mu)
-        M = (1.0 + mu) * (X.T @ X) + 2.0 * hp.lam * Id
-        rhs = (D + mu * state.aux - state.multipliers) @ X
-        W_new = _solve_spd(M, rhs.T, hp.lam, "W-step").T
-        w_change = np.linalg.norm(W_new - W) / max(1.0, np.linalg.norm(W))
-        W = W_new
-        state = update_multipliers(state, W, X, In, hp.mu_growth, hp.mu_max)
-        trace.append(_objective_lowrank_pred(W, X, D, hp.alpha, hp.lam))
+        trace.append(_objective(W, X, D, hp.alpha, hp.lam, L, O))
         if state.primal_residual <= hp.tol and w_change <= hp.tol:
             converged = True
             break
@@ -299,10 +302,7 @@ def fit(
     Xw = X.data
     scaler = None
     if standardize_features:
-        mean = Xw.mean(axis=0)
-        std = Xw.std(axis=0)
-        scaler = Standardizer(mean=mean, std=std)
-        Xw = scaler.transform(Xw)
+        Xw, _, scaler = standardize(Xw)
     if add_bias:
         Xw = np.hstack([Xw, np.ones((Xw.shape[0], 1))])
     Dw = D.data
@@ -311,20 +311,14 @@ def fit(
         W = _ridge(Xw, Dw, hp.lam)
         model = LdlModel(W=W, variant=variant, hyperparams=hp,
                          standardizer=scaler, bias=add_bias)
-        obj = _objective_lowrank_pred(W, Xw, Dw, 0.0, hp.lam)
+        obj = _objective(W, Xw, Dw, 0.0, hp.lam)
         return FitResult(model, iterations_run=0, final_primal_residual=0.0,
                          objective_trace=[obj], converged=True)
 
-    if variant is Variant.ABLATION_A:
-        W, state, trace, converged = _fit_lowrank_prediction(Xw, Dw, hp)
-        model = LdlModel(W=W, variant=variant, hyperparams=hp,
-                         standardizer=scaler, bias=add_bias)
-        return FitResult(model, state.iteration, state.primal_residual, trace, converged)
-
-    L = degrade(D, hp.degradation).data
-    W, O, state, trace, converged = _fit_full(Xw, Dw, L, hp)
+    L = degrade(D, hp.degradation).data if variant is Variant.FULL else None
+    W, state, trace, converged = _admm(Xw, Dw, L, hp)
     model = LdlModel(W=W, variant=variant, hyperparams=hp,
-                     standardizer=scaler, bias=add_bias, transform=O)
+                     standardizer=scaler, bias=add_bias)
     return FitResult(model, state.iteration, state.primal_residual, trace, converged)
 
 

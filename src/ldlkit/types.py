@@ -249,8 +249,7 @@ class LdlModel:
     """A trained label-distribution regressor.
 
     ``W`` maps (standardized, optionally bias-augmented) features to raw label
-    scores; ``transform`` is the training-time instance-mixing matrix of the
-    full variant and plays no role at prediction time.
+    scores; it is the only fitted parameter a model keeps.
     """
 
     W: np.ndarray
@@ -258,7 +257,6 @@ class LdlModel:
     hyperparams: Hyperparams
     standardizer: Optional[Standardizer] = None
     bias: bool = True
-    transform: Optional[np.ndarray] = None
 
     def __post_init__(self):
         W = np.asarray(self.W, dtype=np.float64)

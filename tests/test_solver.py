@@ -8,6 +8,7 @@ from ldlkit import (
     SolverState,
     ThresholdDegrade,
     Variant,
+    degrade,
     evaluate,
     fit,
     load_model,
@@ -308,8 +309,6 @@ def test_fit_variants_accept_strings_and_tag_models():
                       ("ablation-b", Variant.ABLATION_B)]:
         res = fit(ds.X, ds.D, variant=name)
         assert res.model.variant is var
-    assert fit(ds.X, ds.D).model.transform is not None
-    assert fit(ds.X, ds.D, variant="ablation-a").model.transform is None
 
 
 def test_fit_rejects_mismatched_instance_counts():
@@ -333,6 +332,48 @@ def test_singular_system_raised_without_ridge():
     hp = Hyperparams(lam=0.0)
     with pytest.raises(SingularSystem):
         fit(X, D, hp, variant="ablation-b", standardize_features=False, add_bias=False)
+
+
+def test_singular_system_raised_for_full_variant_without_ridge():
+    # With lam = 0 and n > 2m the O-step matrix 2 D'D + mu P'P has rank <= 2m.
+    ds = synth_lowrank(30, 4, 3, 2, 0.1, seed=14)
+    with pytest.raises(SingularSystem):
+        fit(ds.X, ds.D, Hyperparams(lam=0.0), variant="full")
+
+
+def dense_reference_fit(X, D, hp, full):
+    """The splitting loop written from the dense public steps, O starting at I.
+
+    For ablation-a the O-step is skipped, so O stays the identity."""
+    n = X.shape[0]
+    W = fit(X, D, hp, variant="ablation-b", standardize_features=False,
+            add_bias=False).model.W
+    O = np.eye(n)
+    L = degrade(D, hp.degradation).data
+    state = SolverState(aux=W @ X.T @ O, multipliers=np.zeros(D.shape), penalty=hp.mu0)
+    for _ in range(hp.max_iters):
+        state.aux = update_g(W, X, O, state.multipliers, state.penalty, hp.alpha)
+        W_new = update_w(X, D, O, state.aux, state.multipliers, state.penalty, hp.lam)
+        w_change = np.linalg.norm(W_new - W) / max(1.0, np.linalg.norm(W))
+        W = W_new
+        if full:
+            O = update_o(X, W, D, L, state.aux, state.multipliers, state.penalty, hp.lam)
+        state = update_multipliers(state, W, X, O, hp.mu_growth, hp.mu_max)
+        if state.primal_residual <= hp.tol and w_change <= hp.tol:
+            break
+    return W, state.iteration
+
+
+@pytest.mark.parametrize("variant", ["full", "ablation-a"])
+@pytest.mark.parametrize("shape, lam", [((40, 6, 4, 7), 0.1), ((30, 5, 3, 12), 1e-8)])
+def test_fit_matches_dense_reference_loop(variant, shape, lam):
+    n, d, m, iters = shape
+    ds = synth_lowrank(n, d, m, 2, 0.1, seed=15)
+    hp = Hyperparams(lam=lam, max_iters=iters)
+    res = fit(ds.X, ds.D, hp, variant=variant, standardize_features=False, add_bias=False)
+    W_ref, iters_ref = dense_reference_fit(ds.X.data, ds.D.data, hp, variant == "full")
+    assert res.iterations_run == iters_ref
+    np.testing.assert_allclose(res.model.W, W_ref, rtol=0, atol=1e-10)
 
 
 def make_raw_model(W):
