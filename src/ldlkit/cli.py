@@ -11,8 +11,7 @@ import argparse
 import itertools
 import sys
 from dataclasses import replace
-from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -20,11 +19,13 @@ from . import data as dio
 from .degrade import degrade
 from .errors import LdlError
 from .metrics import METRIC_NAMES, evaluate
-from .report import ResultRow, fmt, render, render_counts, report_rows, rows_from_stats
+from .report import ResultRow, render, render_counts, report_rows
 from .solver import fit, load_model, predict, save_model
 from .types import Hyperparams, Variant, parse_degradation
 
 PARAM_GRID_DEFAULT = (0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 10.0)
+
+Split = Tuple[np.ndarray, np.ndarray]
 
 
 def _add_hp_flags(p: argparse.ArgumentParser) -> None:
@@ -64,60 +65,38 @@ def _fit_kwargs(args) -> dict:
     }
 
 
-def _cv_rows(
-    ds, variants: Sequence[Variant], hp: Hyperparams, folds: int, seed: int,
-    fit_kwargs: dict, grid: Optional[dict] = None, holdout: Optional[float] = None,
-    variant_tag=lambda v: v.value,
-) -> List[ResultRow]:
-    """Cross-validated (or holdout) mean±std rows for each variant."""
+def _splits(n: int, folds: int, seed: int, holdout: Optional[float] = None) -> List[Split]:
+    """(train, test) index pairs: k folds, or one shuffled holdout split."""
     if holdout is not None:
-        rng = np.random.default_rng(seed)
-        perm = rng.permutation(ds.n)
-        n_test = max(1, int(round(ds.n * holdout)))
-        splits = [(perm[n_test:], perm[:n_test])]
-    else:
-        plan = dio.kfold(ds.n, folds, seed)
-        splits = [plan.split(f) for f in range(plan.k)]
+        perm = np.random.default_rng(seed).permutation(n)
+        n_test = max(1, int(round(n * holdout)))
+        return [(perm[n_test:], perm[:n_test])]
+    plan = dio.kfold(n, folds, seed)
+    return [plan.split(f) for f in range(plan.k)]
+
+
+def _fold_scores(ds, splits: Sequence[Split], variant: Variant, hp: Hyperparams,
+                 fit_kwargs: dict, tune=None) -> np.ndarray:
+    """(splits x 6) test-set metric means, METRIC_NAMES order; ``tune(train,
+    variant, hp)`` picks each split's hyperparameters from its training part."""
+    scores = np.empty((len(splits), len(METRIC_NAMES)))
+    for i, (train, test) in enumerate(splits):
+        hp_used = tune(train, variant, hp) if tune else hp
+        res = fit(ds.X.data[train], ds.D.data[:, train], hp_used, variant, **fit_kwargs)
+        rep = evaluate(ds.D.data[:, test], predict(res.model, ds.X.data[test]))
+        scores[i] = [rep.mean(name) for name in METRIC_NAMES]
+    return scores
+
+
+def _rows(ds, runs, splits: Sequence[Split], fit_kwargs: dict, tune=None) -> List[ResultRow]:
+    """Mean±std rows over the splits for each (tag, variant, hp) run."""
     rows: List[ResultRow] = []
-    for variant in variants:
-        fold_scores = {name: [] for name in METRIC_NAMES}
-        for train_idx, test_idx in splits:
-            hp_used = hp
-            if grid:
-                hp_used = _tune(ds, train_idx, variant, hp, grid, seed, fit_kwargs)
-            Xtr = ds.X.data[train_idx]
-            Dtr = ds.D.data[:, train_idx]
-            res = fit(Xtr, Dtr, hp_used, variant, **fit_kwargs)
-            pred = predict(res.model, ds.X.data[test_idx])
-            rep = evaluate(ds.D.data[:, test_idx], pred)
-            for name in METRIC_NAMES:
-                fold_scores[name].append(rep.mean(name))
-        means = {k: float(np.mean(v)) for k, v in fold_scores.items()}
-        stds = {k: float(np.std(v)) for k, v in fold_scores.items()}
-        rows += rows_from_stats(ds.name, variant_tag(variant), means, stds)
+    for tag, variant, hp in runs:
+        scores = _fold_scores(ds, splits, variant, hp, fit_kwargs, tune)
+        # One metric's column at a time: a 1-D mean sums pairwise, unlike axis=0.
+        rows += [ResultRow(ds.name, tag, name, float(np.mean(col)), float(np.std(col)))
+                 for name, col in zip(METRIC_NAMES, scores.T)]
     return rows
-
-
-def _tune(ds, train_idx, variant, hp, grid, seed, fit_kwargs) -> Hyperparams:
-    """Inner 5-fold grid search on the training split, selecting by mean KL."""
-    alphas = grid.get("alpha", (hp.alpha,))
-    lams = grid.get("lambda", (hp.lam,))
-    inner = dio.kfold(len(train_idx), 5, seed)
-    best = None
-    for a, l in itertools.product(alphas, lams):
-        cand = replace(hp, alpha=a, lam=l)
-        kls = []
-        for f in range(inner.k):
-            tr, te = inner.split(f)
-            Xtr = ds.X.data[train_idx[tr]]
-            Dtr = ds.D.data[:, train_idx[tr]]
-            res = fit(Xtr, Dtr, cand, variant, **fit_kwargs)
-            pred = predict(res.model, ds.X.data[train_idx[te]])
-            kls.append(evaluate(ds.D.data[:, train_idx[te]], pred).kl)
-        score = float(np.mean(kls))
-        if best is None or score < best[0]:
-            best = (score, cand)
-    return best[1]
 
 
 def _parse_grid(spec: str) -> dict:
@@ -132,6 +111,8 @@ def _parse_grid(spec: str) -> dict:
         if not sep or key not in ("alpha", "lambda"):
             raise ValueError(f"bad grid component {part!r}")
         grid[key] = tuple(float(v) for v in values.split(",") if v.strip())
+        if not grid[key]:
+            raise ValueError(f"grid component {part!r} lists no values")
     if not grid:
         raise ValueError("empty grid spec")
     return grid
@@ -163,13 +144,9 @@ def cmd_predict(args) -> int:
     model = load_model(args.model)
     ds = dio.load_dataset(args.dataset)
     pred = predict(model, ds.X.data)
-    lines = [" ".join(f"{v:.17g}" for v in col) for col in pred.T]
-    text = "\n".join(lines) + "\n"
+    np.savetxt(args.out or sys.stdout, pred.T, fmt="%.17g")
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
         print(f"wrote {pred.shape[1]} predictions to {args.out}")
-    else:
-        print(text, end="")
     return 0
 
 
@@ -186,8 +163,24 @@ def cmd_cv(args) -> int:
     ds = dio.load_dataset(args.dataset)
     hp = _hyperparams(args)
     variants = [Variant(v.strip()) for v in args.variants.split(",") if v.strip()]
-    grid = _parse_grid(args.grid) if args.grid else None
-    rows = _cv_rows(ds, variants, hp, args.folds, args.seed, _fit_kwargs(args), grid=grid)
+    fit_kwargs = _fit_kwargs(args)
+    tune = None
+    if args.grid:
+        grid = _parse_grid(args.grid)
+        kl = METRIC_NAMES.index("kl")
+
+        def tune(train, variant, hp) -> Hyperparams:
+            """Inner 5-fold search on the training split; the first candidate
+            with the lowest mean KL wins."""
+            sub = dio.subset(ds, train)
+            inner = _splits(sub.n, 5, args.seed)
+            cands = [replace(hp, alpha=a, lam=l) for a, l in itertools.product(
+                grid.get("alpha", (hp.alpha,)), grid.get("lambda", (hp.lam,)))]
+            return min(cands, key=lambda c: float(np.mean(
+                _fold_scores(sub, inner, variant, c, fit_kwargs)[:, kl])))
+
+    runs = [(v.value, v, hp) for v in variants]
+    rows = _rows(ds, runs, _splits(ds.n, args.folds, args.seed), fit_kwargs, tune)
     print(render(rows, args.fmt), end="")
     return 0
 
@@ -197,10 +190,9 @@ def cmd_ablate(args) -> int:
         raise ValueError(f"--holdout must lie in (0, 1), got {args.holdout}")
     ds = dio.load_dataset(args.dataset)
     hp = _hyperparams(args)
-    variants = [Variant.FULL, Variant.ABLATION_A, Variant.ABLATION_B]
-    rows = _cv_rows(ds, variants, hp, args.folds, args.seed, _fit_kwargs(args),
-                    holdout=args.holdout)
-    print(render(rows, args.fmt), end="")
+    runs = [(v.value, v, hp) for v in (Variant.FULL, Variant.ABLATION_A, Variant.ABLATION_B)]
+    splits = _splits(ds.n, args.folds, args.seed, args.holdout)
+    print(render(_rows(ds, runs, splits, _fit_kwargs(args)), args.fmt), end="")
     return 0
 
 
@@ -210,10 +202,7 @@ def cmd_degrade(args) -> int:
     L = degrade(ds.D, setting)
     counts = L.data.sum(axis=0).astype(int)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(f"{L.n} {L.m}\n")
-            for col in L.data.T:
-                fh.write(" ".join(str(int(v)) for v in col) + "\n")
+        np.savetxt(args.out, L.data.T, fmt="%d", header=f"{L.n} {L.m}", comments="")
     print(render_counts(list(counts), args.fmt), end="")
     if args.out:
         print(f"multi-label matrix written to {args.out}")
@@ -226,15 +215,10 @@ def cmd_sweep(args) -> int:
     values = ([float(v) for v in args.values.split(",")]
               if args.values else list(PARAM_GRID_DEFAULT))
     variant = Variant(args.variant)
-    rows: List[ResultRow] = []
-    for value in values:
-        if args.param == "alpha":
-            hp_v = replace(hp, alpha=value)
-        else:
-            hp_v = replace(hp, lam=value)
-        tag = f"{variant.value}[{args.param}={value:g}]"
-        rows += _cv_rows(ds, [variant], hp_v, args.folds, args.seed, _fit_kwargs(args),
-                         variant_tag=lambda v, tag=tag: tag)
+    field = "alpha" if args.param == "alpha" else "lam"
+    runs = [(f"{variant.value}[{args.param}={value:g}]", variant, replace(hp, **{field: value}))
+            for value in values]
+    rows = _rows(ds, runs, _splits(ds.n, args.folds, args.seed), _fit_kwargs(args))
     print(render(rows, args.fmt), end="")
     return 0
 

@@ -198,10 +198,8 @@ def save_dataset(ds: Dataset, path, fmt: Optional[FileFormat] = None) -> None:
     if fmt is FileFormat.MATRIX_TEXT:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(f"{ds.n} {ds.d} {ds.m}\n")
-            for row in X:
-                fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
-            for row in Drows:
-                fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
+            np.savetxt(fh, X, fmt="%.17g")
+            np.savetxt(fh, Drows, fmt="%.17g")
     else:
         labels = ds.label_names or tuple(f"y{j + 1}" for j in range(ds.m))
         with open(path, "w", encoding="utf-8", newline="") as fh:

@@ -24,11 +24,10 @@ class ColumnNotSimplex(LdlError):
 
 
 class ShapeMismatch(LdlError):
-    """Two objects that must agree on a dimension do not."""
+    """An array has the wrong shape, or two that must agree on a dimension do not."""
 
 
-class DimensionMismatch(LdlError):
-    """A vector or matrix has the wrong length for the requested operation."""
+DimensionMismatch = ShapeMismatch
 
 
 class ParseError(LdlError):

@@ -20,16 +20,6 @@ KL_EPS = 1e-12
 
 METRIC_NAMES = ("chebyshev", "clark", "canberra", "kl", "cosine", "intersection")
 
-#: Direction of each metric: True if larger values are better.
-HIGHER_IS_BETTER = {
-    "chebyshev": False,
-    "clark": False,
-    "canberra": False,
-    "kl": False,
-    "cosine": True,
-    "intersection": True,
-}
-
 
 def _pair(d, p) -> tuple[np.ndarray, np.ndarray]:
     d = np.asarray(d, dtype=np.float64)

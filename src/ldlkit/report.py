@@ -33,15 +33,6 @@ def report_rows(dataset: str, variant: str, report: EvalReport) -> List[ResultRo
     ]
 
 
-def rows_from_stats(
-    dataset: str, variant: str, means: dict, stds: dict
-) -> List[ResultRow]:
-    return [
-        ResultRow(dataset, variant, name, means[name], stds[name])
-        for name in METRIC_NAMES
-    ]
-
-
 def render_csv(rows: Iterable[ResultRow]) -> str:
     lines = ["dataset,variant,metric,mean,std"]
     for r in rows:

@@ -28,7 +28,7 @@ ridge regression.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import List, Optional, Union
 
 import numpy as np
@@ -356,26 +356,21 @@ def predict(model: LdlModel, x) -> np.ndarray:
 def save_model(model: LdlModel, path) -> None:
     """Serialize a model to a versioned binary container (bit-exact W)."""
     hp = model.hyperparams
-    fields = {
+    arrays = {
         "format_version": np.int64(MODEL_FORMAT_VERSION),
         "W": model.W,
         "variant": np.str_(model.variant.value),
         "bias": np.bool_(model.bias),
-        "alpha": np.float64(hp.alpha),
-        "lam": np.float64(hp.lam),
-        "degradation": np.str_(str(hp.degradation)),
-        "mu0": np.float64(hp.mu0),
-        "mu_max": np.float64(hp.mu_max),
-        "mu_growth": np.float64(hp.mu_growth),
-        "max_iters": np.int64(hp.max_iters),
-        "tol": np.float64(hp.tol),
         "has_standardizer": np.bool_(model.standardizer is not None),
     }
+    for f in fields(Hyperparams):
+        value = getattr(hp, f.name)
+        arrays[f.name] = np.str_(str(value)) if f.name == "degradation" else np.asarray(value)
     if model.standardizer is not None:
-        fields["feature_mean"] = model.standardizer.mean
-        fields["feature_std"] = model.standardizer.std
+        arrays["feature_mean"] = model.standardizer.mean
+        arrays["feature_std"] = model.standardizer.std
     with open(path, "wb") as fh:
-        np.savez(fh, **fields)
+        np.savez(fh, **arrays)
 
 
 def load_model(path) -> LdlModel:
@@ -386,16 +381,11 @@ def load_model(path) -> LdlModel:
         version = int(z["format_version"])
         if version != MODEL_FORMAT_VERSION:
             raise ValueError(f"unsupported model format version {version}")
-        hp = Hyperparams(
-            alpha=float(z["alpha"]),
-            lam=float(z["lam"]),
-            degradation=parse_degradation(str(z["degradation"])),
-            mu0=float(z["mu0"]),
-            mu_max=float(z["mu_max"]),
-            mu_growth=float(z["mu_growth"]),
-            max_iters=int(z["max_iters"]),
-            tol=float(z["tol"]),
-        )
+        hp = Hyperparams(**{
+            f.name: parse_degradation(str(z[f.name])) if f.name == "degradation"
+            else z[f.name].item()
+            for f in fields(Hyperparams)
+        })
         scaler = None
         if bool(z["has_standardizer"]):
             scaler = Standardizer(mean=z["feature_mean"], std=z["feature_std"])

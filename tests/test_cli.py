@@ -69,6 +69,9 @@ def test_predict_and_evaluate_round_trip(tmp_path, capsys, synth_file):
     rows = np.loadtxt(pred_path)
     assert rows.shape == (60, 4)
     np.testing.assert_allclose(rows.sum(axis=1), 1.0, atol=1e-12)
+    code, stdout, _ = run(capsys, "predict", synth_file, "--model", str(model_path))
+    assert code == 0
+    assert stdout.encode("utf-8") == pred_path.read_bytes()
     code, stdout, _ = run(capsys, "evaluate", synth_file, "--model", str(model_path),
                           "--format", "csv")
     assert code == 0
@@ -165,3 +168,39 @@ def test_sweep_csv_variant_tags(capsys, tmp_path):
     lines = stdout.strip().splitlines()
     assert len(lines) == 1 + 2 * 6
     assert lines[1].split(",")[1] == "full[lambda=0.1]"
+
+
+@pytest.mark.parametrize("spec, component", [("alpha=", "alpha="),
+                                             ("lambda=,;alpha=1", "lambda=,")])
+def test_grid_component_without_values_is_a_clean_error(capsys, synth_file, spec, component):
+    code, _, stderr = run(capsys, "cv", synth_file, "--folds", "3", "--grid", spec)
+    assert code == 1
+    assert f"grid component {component!r} lists no values" in stderr
+
+
+def csv_rows(capsys, *argv):
+    code, stdout, _ = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    return [line.split(",") for line in stdout.strip().splitlines()[1:]]
+
+
+def test_ablate_rows_equal_cv_rows_of_the_three_variants(capsys, synth_file):
+    common = ("--folds", "3", "--seed", "5")
+    ablate = csv_rows(capsys, "ablate", synth_file, *common)
+    cv = csv_rows(capsys, "cv", synth_file, "--variants", "full,ablation-a,ablation-b", *common)
+    assert len(ablate) == 3 * 6
+    assert ablate == cv
+
+
+def test_single_value_sweep_equals_cv_but_for_the_tag(capsys, synth_file):
+    sweep = csv_rows(capsys, "sweep", synth_file, "--param", "alpha", "--values", "0.05",
+                     "--folds", "3")
+    cv = csv_rows(capsys, "cv", synth_file, "--alpha", "0.05", "--folds", "3")
+    assert {row[1] for row in sweep} == {"full[alpha=0.05]"}
+    assert [row[:1] + row[2:] for row in sweep] == [row[:1] + row[2:] for row in cv]
+
+
+def test_single_candidate_grid_equals_fixed_hyperparameters(capsys, synth_file):
+    grid = csv_rows(capsys, "cv", synth_file, "--grid", "alpha=0.05", "--folds", "3")
+    fixed = csv_rows(capsys, "cv", synth_file, "--alpha", "0.05", "--folds", "3")
+    assert grid == fixed

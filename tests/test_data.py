@@ -77,10 +77,18 @@ def test_wrong_width_row(tmp_path):
 
 def test_matrix_text_round_trip_is_exact(tmp_path):
     ds = synth_lowrank(17, 5, 3, 2, 0.25, seed=9)
+    X = ds.X.data.copy()
+    X[0, :4] = [-0.0, 5e-324, 1e22, -1e-300]
+    ds = Dataset(ds.name, FeatureMatrix(X), ds.D)
     path = tmp_path / "rt.txt"
     save_dataset(ds, path)
+    # reference: every value written one by one with 17 significant digits
+    lines = [f"{ds.n} {ds.d} {ds.m}"]
+    lines += [" ".join(f"{v:.17g}" for v in row) for row in (*X, *ds.D.data.T)]
+    assert path.read_text(encoding="utf-8") == "\n".join(lines) + "\n"
     back = load_dataset(path)
     np.testing.assert_array_equal(back.X.data, ds.X.data)
+    assert np.signbit(back.X.data[0, 0])
     np.testing.assert_array_equal(back.D.data, ds.D.data)
 
 

@@ -416,7 +416,7 @@ def test_predict_dimension_mismatch():
 def test_model_round_trip_is_bit_exact(tmp_path):
     ds = synth_lowrank(40, 5, 3, 2, 0.1, seed=12)
     hp = Hyperparams(alpha=0.05, lam=0.7, degradation=ThresholdDegrade(0.3),
-                     max_iters=150, tol=1e-6)
+                     mu0=0.2, mu_max=1e5, mu_growth=1.2, max_iters=150, tol=1e-6)
     res = fit(ds.X, ds.D, hp)
     path = tmp_path / "model.npz"
     save_model(res.model, path)
