@@ -99,6 +99,19 @@ def _rows(ds, runs, splits: Sequence[Split], fit_kwargs: dict, tune=None) -> Lis
     return rows
 
 
+def _parse_values(text: str, what: str) -> Tuple[float, ...]:
+    """Parse a comma list of numbers, skipping empty entries."""
+    values = []
+    for entry in filter(str.strip, text.split(",")):
+        try:
+            values.append(float(entry))
+        except ValueError:
+            raise ValueError(f"{what} entry {entry.strip()!r} is not a number") from None
+    if not values:
+        raise ValueError(f"{what} lists no values")
+    return tuple(values)
+
+
 def _parse_grid(spec: str) -> dict:
     """Parse 'alpha=0.005,0.01;lambda=0.1,1' into value tuples."""
     grid = {}
@@ -110,9 +123,7 @@ def _parse_grid(spec: str) -> dict:
         key = key.strip().lower()
         if not sep or key not in ("alpha", "lambda"):
             raise ValueError(f"bad grid component {part!r}")
-        grid[key] = tuple(float(v) for v in values.split(",") if v.strip())
-        if not grid[key]:
-            raise ValueError(f"grid component {part!r} lists no values")
+        grid[key] = _parse_values(values, f"grid component {part!r}")
     if not grid:
         raise ValueError("empty grid spec")
     return grid
@@ -192,6 +203,10 @@ def cmd_ablate(args) -> int:
     hp = _hyperparams(args)
     runs = [(v.value, v, hp) for v in (Variant.FULL, Variant.ABLATION_A, Variant.ABLATION_B)]
     splits = _splits(ds.n, args.folds, args.seed, args.holdout)
+    n_train = len(splits[0][0])
+    if n_train < 2:
+        raise ValueError(f"--holdout {args.holdout} leaves {n_train} of {ds.n} instances "
+                         "for training; at least 2 are needed")
     print(render(_rows(ds, runs, splits, _fit_kwargs(args)), args.fmt), end="")
     return 0
 
@@ -212,8 +227,8 @@ def cmd_degrade(args) -> int:
 def cmd_sweep(args) -> int:
     ds = dio.load_dataset(args.dataset)
     hp = _hyperparams(args)
-    values = ([float(v) for v in args.values.split(",")]
-              if args.values else list(PARAM_GRID_DEFAULT))
+    values = (_parse_values(args.values, f"--values {args.values!r}")
+              if args.values is not None else PARAM_GRID_DEFAULT)
     variant = Variant(args.variant)
     field = "alpha" if args.param == "alpha" else "lam"
     runs = [(f"{variant.value}[{args.param}={value:g}]", variant, replace(hp, **{field: value}))

@@ -19,7 +19,9 @@ is deterministic: there is no randomized initialization.
 
 The O-step matrix is 2 lam I plus a rank-<=2m term, so its minimizer is
 exactly O = U K with U = [D' P'] (n x 2m) and K from a 2m x 2m solve; ``fit``
-carries O as those factors and never builds an n x n array.
+carries O as those factors and never builds an n x n array.  The symmetric
+positive definite W-step and ridge systems go through one LAPACK Cholesky
+factorization and solve, the only place scipy is loaded.
 
 Ablation variants: ``ablation-a`` keeps the nuclear-norm pressure but applies
 it directly to the prediction W X' (no auxiliary task); it is the same loop
@@ -32,7 +34,6 @@ from dataclasses import dataclass, fields
 from typing import List, Optional, Union
 
 import numpy as np
-import scipy.linalg
 
 from .data import standardize
 from .degrade import degrade
@@ -78,14 +79,26 @@ def svt(A: np.ndarray, tau: float) -> np.ndarray:
 
 
 def _solve_spd(M: np.ndarray, B: np.ndarray, lam: float, what: str) -> np.ndarray:
-    """Solve M Z = B for symmetric positive (semi-)definite M."""
-    try:
-        return scipy.linalg.solve(M, B, assume_a="pos")
-    except np.linalg.LinAlgError:
-        if lam == 0.0:
-            raise SingularSystem(
-                f"{what} system is rank-deficient; a positive lambda is required"
-            ) from None
+    """Solve M Z = B for symmetric positive (semi-)definite M; Z is C-ordered.
+
+    One LAPACK Cholesky factorization (potrf) and solve (potrs); a 1 x 1
+    system is the plain quotient.  scipy is imported here and nowhere else,
+    so only commands that fit pay for loading it.
+    """
+    if not (np.isfinite(M).all() and np.isfinite(B).all()):
+        raise ValueError(f"{what} system has non-finite entries")
+    if M.shape[0] == 1 and M[0, 0] > 0.0:
+        return B / M
+    from scipy.linalg import lapack
+
+    factor, info = lapack.dpotrf(M, lower=0, clean=0)
+    if info == 0:
+        # potrs returns F-ordered Z; later products must see the C layout.
+        return np.ascontiguousarray(lapack.dpotrs(factor, B, lower=0)[0])
+    if lam == 0.0:
+        raise SingularSystem(
+            f"{what} system is rank-deficient; a positive lambda is required"
+        )
     # lam > 0 makes M nonsingular in exact arithmetic; fall back to LU when
     # the Cholesky pivot check is defeated by extreme conditioning.
     try:

@@ -207,6 +207,9 @@ class Hyperparams:
     tol: float = 1e-5
 
     def __post_init__(self):
+        for name, value in (("alpha", self.alpha), ("lambda", self.lam), ("tol", self.tol)):
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.alpha < 0:
             raise ValueError(f"alpha must be nonnegative, got {self.alpha}")
         if self.lam < 0:
@@ -215,7 +218,7 @@ class Hyperparams:
             raise TypeError("degradation must be ThresholdDegrade or TopKDegrade")
         if not (0 < self.mu0 <= self.mu_max):
             raise ValueError(f"require 0 < mu0 <= mu_max, got mu0={self.mu0}, mu_max={self.mu_max}")
-        if self.mu_growth <= 1:
+        if not self.mu_growth > 1:
             raise ValueError(f"mu_growth must exceed 1, got {self.mu_growth}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be positive, got {self.max_iters}")

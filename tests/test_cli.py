@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -204,3 +207,48 @@ def test_single_candidate_grid_equals_fixed_hyperparameters(capsys, synth_file):
     grid = csv_rows(capsys, "cv", synth_file, "--grid", "alpha=0.05", "--folds", "3")
     fixed = csv_rows(capsys, "cv", synth_file, "--alpha", "0.05", "--folds", "3")
     assert grid == fixed
+
+
+@pytest.mark.parametrize("values, message", [
+    ("0.1,x", "--values '0.1,x' entry 'x' is not a number"),
+    (",, ,", "--values ',, ,' lists no values"),
+])
+def test_bad_sweep_values_are_a_clean_error(capsys, synth_file, values, message):
+    code, _, stderr = run(capsys, "sweep", synth_file, "--param", "alpha",
+                          "--values", values, "--folds", "3")
+    assert code == 1
+    assert message in stderr
+
+
+def test_sweep_values_skip_empty_entries(capsys, synth_file):
+    argv = ("sweep", synth_file, "--param", "alpha", "--folds", "3")
+    assert csv_rows(capsys, *argv, "--values", "0.1,,1,") == \
+        csv_rows(capsys, *argv, "--values", "0.1,1")
+
+
+def test_holdout_leaving_one_training_instance_is_a_clean_error(capsys, synth_file):
+    code, stdout, stderr = run(capsys, "ablate", synth_file, "--holdout", "0.99")
+    assert code == 1
+    assert stdout == ""
+    assert "--holdout 0.99 leaves 1 of 60 instances for training" in stderr
+
+
+def loaded_modules(*argv):
+    """Modules a fresh ``python -m ldlkit`` process imports, from -X importtime."""
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "ldlkit", *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+            if line.startswith("import time:")}
+
+
+def test_only_fitting_commands_load_scipy(tmp_path):
+    def loads_scipy(*argv):
+        return any(name.split(".")[0] == "scipy" for name in loaded_modules(*argv))
+
+    ds, model = str(tmp_path / "ds.txt"), str(tmp_path / "model.npz")
+    assert not loads_scipy("synth", "--n", "40", "--d", "4", "--m", "3", "--out", ds)
+    assert loads_scipy("train", ds, "--model-out", model)
+    assert not loads_scipy("predict", ds, "--model", model, "--out", str(tmp_path / "p.txt"))
+    assert not loads_scipy("evaluate", ds, "--model", model)
+    assert not loads_scipy("degrade", ds, "--out", str(tmp_path / "ml.txt"))

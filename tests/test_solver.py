@@ -23,6 +23,7 @@ from ldlkit import (
     update_w,
 )
 from ldlkit.errors import DimensionMismatch, SingularSystem
+from ldlkit.solver import _solve_spd
 
 
 def svt_oracle(A, tau):
@@ -339,6 +340,44 @@ def test_singular_system_raised_for_full_variant_without_ridge():
     ds = synth_lowrank(30, 4, 3, 2, 0.1, seed=14)
     with pytest.raises(SingularSystem):
         fit(ds.X, ds.D, Hyperparams(lam=0.0), variant="full")
+
+
+def w_step_system(d, seed, n=213, m=6):
+    """A W-step-shaped SPD system: M = X'X + 2 lam I and B = rhs' (F-ordered)."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, d))
+    return X.T @ X + 0.2 * np.eye(d), rng.standard_normal((m, d)).T
+
+
+@pytest.mark.parametrize("d", [1, 21, 51, 244])
+def test_solve_spd_is_bit_equal_to_scipy_solve(d):
+    M, B = w_step_system(d, seed=d)
+    assert B.flags.f_contiguous
+    Z = _solve_spd(M, B, 0.1, "W-step")
+    np.testing.assert_array_equal(Z, scipy.linalg.solve(M, B, assume_a="pos"))
+    assert Z.flags.c_contiguous
+
+
+@pytest.mark.parametrize("where", ["M", "B"])
+def test_solve_spd_rejects_non_finite_system_before_factoring(monkeypatch, where):
+    import scipy.linalg.lapack as lapack
+
+    def no_factoring(*args, **kwargs):
+        raise AssertionError("factored a non-finite system")
+
+    monkeypatch.setattr(lapack, "dpotrf", no_factoring)
+    M, B = w_step_system(21, seed=3)
+    (M if where == "M" else B)[2, 1] = np.nan
+    with pytest.raises(ValueError, match="W-step system has non-finite entries"):
+        _solve_spd(M, B, 0.1, "W-step")
+
+
+def test_solve_spd_without_ridge_on_rank_deficient_system_is_singular():
+    rng = np.random.default_rng(4)
+    X = rng.standard_normal((20, 8))
+    X[:, 3] = 0.0                                   # an all-zero feature: M[3, 3] = 0
+    with pytest.raises(SingularSystem, match="W-step system is rank-deficient"):
+        _solve_spd(X.T @ X, rng.standard_normal((8, 3)), 0.0, "W-step")
 
 
 def dense_reference_fit(X, D, hp, full):
