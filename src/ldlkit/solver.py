@@ -19,9 +19,13 @@ is deterministic: there is no randomized initialization.
 
 The O-step matrix is 2 lam I plus a rank-<=2m term, so its minimizer is
 exactly O = U K with U = [D' P'] (n x 2m) and K from a 2m x 2m solve; ``fit``
-carries O as those factors and never builds an n x n array.  The symmetric
-positive definite W-step and ridge systems go through one LAPACK Cholesky
-factorization and solve, the only place scipy is loaded.
+carries O as those factors and never builds an n x n array.  The W-step
+matrix is likewise A = X'X + 2 lam I plus mu (X'O)(X'O)', a rank-<=2m term
+once O = U K.  A is factored once per fit (its solve is also the ridge
+start), and each such W-step goes through a 2m x 2m push-through core; only
+the steps where O = I factor a d x d matrix.  Symmetric positive definite
+systems go through LAPACK Cholesky (potrf, potrs), the only place scipy is
+loaded.
 
 Ablation variants: ``ablation-a`` keeps the nuclear-norm pressure but applies
 it directly to the prediction W X' (no auxiliary task); it is the same loop
@@ -30,6 +34,7 @@ ridge regression.
 """
 from __future__ import annotations
 
+import zipfile
 from dataclasses import dataclass, fields
 from typing import List, Optional, Union
 
@@ -37,7 +42,7 @@ import numpy as np
 
 from .data import standardize
 from .degrade import degrade
-from .errors import DimensionMismatch, SingularSystem, SvdFailure
+from .errors import ShapeMismatch, SingularSystem, SvdFailure
 from .types import (
     FeatureMatrix,
     Hyperparams,
@@ -78,33 +83,45 @@ def svt(A: np.ndarray, tau: float) -> np.ndarray:
     return (U * s) @ Vt
 
 
-def _solve_spd(M: np.ndarray, B: np.ndarray, lam: float, what: str) -> np.ndarray:
-    """Solve M Z = B for symmetric positive (semi-)definite M; Z is C-ordered.
+def _factor_spd(M: np.ndarray, lam: float, what: str):
+    """Factor symmetric positive (semi-)definite M once; the returned function
+    solves M Z = B and gives a C-ordered Z.
 
-    One LAPACK Cholesky factorization (potrf) and solve (potrs); a 1 x 1
-    system is the plain quotient.  scipy is imported here and nowhere else,
-    so only commands that fit pay for loading it.
+    One LAPACK Cholesky factorization (potrf), then a solve (potrs) per call;
+    a 1 x 1 system is the plain quotient.  scipy is imported here and nowhere
+    else, so only commands that fit pay for loading it.
     """
-    if not (np.isfinite(M).all() and np.isfinite(B).all()):
+    if not np.isfinite(M).all():
         raise ValueError(f"{what} system has non-finite entries")
     if M.shape[0] == 1 and M[0, 0] > 0.0:
-        return B / M
+        return lambda B: B / M
     from scipy.linalg import lapack
 
     factor, info = lapack.dpotrf(M, lower=0, clean=0)
     if info == 0:
         # potrs returns F-ordered Z; later products must see the C layout.
-        return np.ascontiguousarray(lapack.dpotrs(factor, B, lower=0)[0])
+        return lambda B: np.ascontiguousarray(lapack.dpotrs(factor, B, lower=0)[0])
     if lam == 0.0:
         raise SingularSystem(
             f"{what} system is rank-deficient; a positive lambda is required"
         )
+
     # lam > 0 makes M nonsingular in exact arithmetic; fall back to LU when
     # the Cholesky pivot check is defeated by extreme conditioning.
-    try:
-        return np.linalg.solve(M, B)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(f"{what} system is numerically singular") from exc
+    def lu_solve(B):
+        try:
+            return np.linalg.solve(M, B)
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystem(f"{what} system is numerically singular") from exc
+
+    return lu_solve
+
+
+def _solve_spd(M: np.ndarray, B: np.ndarray, lam: float, what: str) -> np.ndarray:
+    """Solve M Z = B for symmetric positive (semi-)definite M; Z is C-ordered."""
+    if not np.isfinite(B).all():
+        raise ValueError(f"{what} system has non-finite entries")
+    return _factor_spd(M, lam, what)(B)
 
 
 class _Mixing:
@@ -256,17 +273,50 @@ def _objective(W, X, D, alpha, lam, L=None, O=_Mixing()) -> float:
     return float(value)
 
 
+def _w_steps(X, D, lam: float):
+    """The ridge start and the W-step of one fit, sharing what does not change.
+
+    X'X, D X and the Cholesky factor of A = X'X + 2 lam I are computed once.
+    While O = I the step solves update_w's d x d system, formed the same way
+    from the cached X'X.  Once O = U K, the Gram mu (X'O)(X'O)' equals F F'
+    with F = sqrt(mu) X'U R' for the thin QR K' = Q R, and the push-through
+    (Woodbury) identity
+
+        (A + F F')^-1 rhs' = Z - Y (I + F'Y)^-1 F'Z,   Y = A^-1 F, Z = A^-1 rhs',
+
+    leaves one 2m x 2m system per step.  F comes from R rather than from K K',
+    whose entries can be orders of magnitude larger than U K's when lam is small.
+    """
+    XtX, DX = X.T @ X, D @ X
+    ridge = 2.0 * lam * np.eye(X.shape[1])
+    solve_a = _factor_spd(XtX + ridge, lam, "W-step")
+
+    def step(O: _Mixing, G, multipliers, penalty: float) -> np.ndarray:
+        if O.U is None:
+            M = XtX + penalty * XtX + ridge
+            rhs = DX + (penalty * G - multipliers) @ X
+            return _solve_spd(M, rhs.T, lam, "W-step").T
+        XU = X.T @ O.U                                      # (d, 2m)
+        rhs = DX + (penalty * G - multipliers) @ (XU @ O.K).T
+        F = np.sqrt(penalty) * XU @ np.linalg.qr(O.K.T, mode="r").T
+        Y, Z = solve_a(F), solve_a(rhs.T)
+        core = np.eye(F.shape[1]) + F.T @ Y
+        return (Z - Y @ _solve_spd(core, F.T @ Z, lam, "W-step")).T
+
+    return solve_a(DX.T).T, step
+
+
 def _admm(X, D, L, hp: Hyperparams):
     """The splitting loop.  With L None (ablation-a) O stays I and the O-step
     is skipped, so the nuclear norm falls on W X' itself."""
-    W = _ridge(X, D, hp.lam)
+    W, w_step = _w_steps(X, D, hp.lam)
     O = _Mixing()
     state = SolverState(aux=W @ X.T @ O, multipliers=np.zeros(D.shape), penalty=hp.mu0)
     trace = []
     converged = False
     for _ in range(hp.max_iters):
         state.aux = update_g(W, X, O, state.multipliers, state.penalty, hp.alpha)
-        W_new = update_w(X, D, O, state.aux, state.multipliers, state.penalty, hp.lam)
+        W_new = w_step(O, state.aux, state.multipliers, state.penalty)
         w_change = np.linalg.norm(W_new - W) / max(1.0, np.linalg.norm(W))
         W = W_new
         if L is not None:
@@ -306,7 +356,7 @@ def fit(
         X = FeatureMatrix(X)
     D = validate_distribution_matrix(D)
     if X.n != D.n:
-        raise DimensionMismatch(
+        raise ShapeMismatch(
             f"feature matrix has {X.n} instances but distribution matrix has {D.n}"
         )
     hp = hp or Hyperparams()
@@ -346,7 +396,7 @@ def predict(model: LdlModel, x) -> np.ndarray:
     single = x.ndim == 1
     X = x[np.newaxis, :] if single else x
     if X.ndim != 2 or X.shape[1] != model.d_in:
-        raise DimensionMismatch(
+        raise ShapeMismatch(
             f"expected feature dimension {model.d_in}, got shape {x.shape}"
         )
     if not np.all(np.isfinite(X)):
@@ -387,25 +437,50 @@ def save_model(model: LdlModel, path) -> None:
 
 
 def load_model(path) -> LdlModel:
-    """Load a model written by :func:`save_model`."""
+    """Load a model written by :func:`save_model`.
+
+    Errors name the file: ValueError for a file that is not such a model or
+    lacks an entry, ShapeMismatch for a W whose width disagrees with the
+    standardizer and the bias flag.
+    """
     from .types import parse_degradation
 
-    with np.load(path, allow_pickle=False) as z:
-        version = int(z["format_version"])
+    try:
+        archive = np.load(path, allow_pickle=False)
+    except (ValueError, EOFError, zipfile.BadZipFile):
+        archive = None
+    if not isinstance(archive, np.lib.npyio.NpzFile):
+        raise ValueError(f"{path} is not an ldlkit model file")
+    with archive as z:
+        def entry(key):
+            if key not in z:
+                raise ValueError(f"{path}: model file has no {key!r} entry")
+            return z[key]
+
+        def scalar(key):
+            value = entry(key)
+            if value.size != 1:
+                raise ValueError(f"{path}: model entry {key!r} holds {value.size} values, not 1")
+            return value.item()
+
+        version = scalar("format_version")
         if version != MODEL_FORMAT_VERSION:
-            raise ValueError(f"unsupported model format version {version}")
+            raise ValueError(f"{path}: unsupported model format version {version}")
         hp = Hyperparams(**{
-            f.name: parse_degradation(str(z[f.name])) if f.name == "degradation"
-            else z[f.name].item()
+            f.name: parse_degradation(str(scalar(f.name))) if f.name == "degradation"
+            else scalar(f.name)
             for f in fields(Hyperparams)
         })
         scaler = None
-        if bool(z["has_standardizer"]):
-            scaler = Standardizer(mean=z["feature_mean"], std=z["feature_std"])
-        return LdlModel(
-            W=z["W"],
-            variant=Variant(str(z["variant"])),
-            hyperparams=hp,
-            standardizer=scaler,
-            bias=bool(z["bias"]),
-        )
+        if bool(scalar("has_standardizer")):
+            scaler = Standardizer(mean=entry("feature_mean"), std=entry("feature_std"))
+        try:
+            return LdlModel(
+                W=entry("W"),
+                variant=Variant(str(scalar("variant"))),
+                hyperparams=hp,
+                standardizer=scaler,
+                bias=bool(scalar("bias")),
+            )
+        except ShapeMismatch as exc:
+            raise ShapeMismatch(f"{path}: {exc}") from None

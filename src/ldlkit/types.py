@@ -207,7 +207,9 @@ class Hyperparams:
     tol: float = 1e-5
 
     def __post_init__(self):
-        for name, value in (("alpha", self.alpha), ("lambda", self.lam), ("tol", self.tol)):
+        for name, value in (("alpha", self.alpha), ("lambda", self.lam), ("tol", self.tol),
+                            ("mu0", self.mu0), ("mu_max", self.mu_max),
+                            ("mu_growth", self.mu_growth)):
             if not np.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
         if self.alpha < 0:
@@ -220,8 +222,15 @@ class Hyperparams:
             raise ValueError(f"require 0 < mu0 <= mu_max, got mu0={self.mu0}, mu_max={self.mu_max}")
         if not self.mu_growth > 1:
             raise ValueError(f"mu_growth must exceed 1, got {self.mu_growth}")
+        try:
+            integral = int(self.max_iters) == self.max_iters
+        except (TypeError, ValueError, OverflowError):
+            integral = False
+        if not integral:
+            raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be positive, got {self.max_iters}")
+        object.__setattr__(self, "max_iters", int(self.max_iters))
         if self.tol <= 0:
             raise ValueError(f"tol must be positive, got {self.tol}")
 
@@ -265,6 +274,16 @@ class LdlModel:
         W = np.asarray(self.W, dtype=np.float64)
         if W.ndim != 2 or not np.all(np.isfinite(W)):
             raise ValueError("W must be a finite 2-D matrix")
+        width = W.shape[1] - (1 if self.bias else 0)
+        if width < 1:
+            raise ShapeMismatch(f"W has {W.shape[1]} column(s), which leaves no feature "
+                                f"column beside bias={self.bias}")
+        if self.standardizer is not None and not (
+                np.shape(self.standardizer.mean) == np.shape(self.standardizer.std) == (width,)):
+            raise ShapeMismatch(
+                f"W has {W.shape[1]} columns, so with bias={self.bias} the standardizer "
+                f"needs {width} entries, got mean {np.shape(self.standardizer.mean)} "
+                f"and std {np.shape(self.standardizer.std)}")
         object.__setattr__(self, "W", W)
 
     @property

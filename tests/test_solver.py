@@ -400,19 +400,60 @@ def dense_reference_fit(X, D, hp, full):
         state = update_multipliers(state, W, X, O, hp.mu_growth, hp.mu_max)
         if state.primal_residual <= hp.tol and w_change <= hp.tol:
             break
-    return W, state.iteration
+    return W, state
 
 
 @pytest.mark.parametrize("variant", ["full", "ablation-a"])
-@pytest.mark.parametrize("shape, lam", [((40, 6, 4, 7), 0.1), ((30, 5, 3, 12), 1e-8)])
+@pytest.mark.parametrize("shape, lam", [
+    ((40, 6, 4, 7), 0.1),
+    ((30, 5, 3, 12), 1e-8),
+    ((12, 20, 3, 10), 0.1),            # n < d
+    ((40, 6, 4, 60, 1.0, 1.0), 0.1),   # (alpha, mu_max): the penalty reaches mu_max
+])
 def test_fit_matches_dense_reference_loop(variant, shape, lam):
-    n, d, m, iters = shape
+    n, d, m, iters, *schedule = shape
+    alpha, mu_max = schedule or (0.1, 1e6)
     ds = synth_lowrank(n, d, m, 2, 0.1, seed=15)
-    hp = Hyperparams(lam=lam, max_iters=iters)
+    hp = Hyperparams(alpha=alpha, lam=lam, mu_max=mu_max, max_iters=iters)
     res = fit(ds.X, ds.D, hp, variant=variant, standardize_features=False, add_bias=False)
-    W_ref, iters_ref = dense_reference_fit(ds.X.data, ds.D.data, hp, variant == "full")
-    assert res.iterations_run == iters_ref
+    W_ref, state = dense_reference_fit(ds.X.data, ds.D.data, hp, variant == "full")
+    assert res.iterations_run == state.iteration
+    if schedule:
+        assert state.penalty == mu_max
     np.testing.assert_allclose(res.model.W, W_ref, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("max_iters", [5, 50])
+def test_full_fit_factors_the_d_by_d_system_a_fixed_number_of_times(monkeypatch, max_iters):
+    # One factorization of X'X + 2 lam I per fit and one for the first step,
+    # where O = I; every later W-step factors only its 2m x 2m core.
+    import scipy.linalg.lapack as lapack
+
+    d, m = 6, 4
+    shapes = []
+    potrf = lapack.dpotrf
+
+    def counting_potrf(M, *args, **kwargs):
+        shapes.append(M.shape)
+        return potrf(M, *args, **kwargs)
+
+    monkeypatch.setattr(lapack, "dpotrf", counting_potrf)
+    ds = synth_lowrank(40, d, m, 2, 0.1, seed=15)
+    hp = Hyperparams(alpha=1.0, max_iters=max_iters, tol=1e-15)
+    res = fit(ds.X, ds.D, hp, variant="full", standardize_features=False, add_bias=False)
+    assert res.iterations_run == max_iters
+    assert shapes.count((d, d)) == 2
+    assert shapes.count((2 * m, 2 * m)) == max_iters - 1
+
+
+@pytest.mark.parametrize("variant", ["full", "ablation-a"])
+def test_fit_without_ridge_on_rank_deficient_features_is_singular(variant):
+    rng = np.random.default_rng(12)
+    X = rng.standard_normal((5, 8))        # n < d: X'X is singular
+    D = rng.dirichlet(np.ones(3), size=5).T
+    with pytest.raises(SingularSystem, match="W-step system is rank-deficient"):
+        fit(X, D, Hyperparams(lam=0.0), variant=variant,
+            standardize_features=False, add_bias=False)
 
 
 def make_raw_model(W):
