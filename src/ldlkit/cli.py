@@ -18,7 +18,7 @@ import numpy as np
 from . import data as dio
 from .degrade import degrade
 from .errors import LdlError
-from .metrics import METRIC_NAMES, evaluate
+from .metrics import METRIC_NAMES, EvalReport, evaluate
 from .report import ResultRow, render, render_counts, report_rows
 from .solver import fit, load_model, predict, save_model
 from .types import Hyperparams, Variant, parse_degradation
@@ -75,27 +75,28 @@ def _splits(n: int, folds: int, seed: int, holdout: Optional[float] = None) -> L
     return [plan.split(f) for f in range(plan.k)]
 
 
-def _fold_scores(ds, splits: Sequence[Split], variant: Variant, hp: Hyperparams,
-                 fit_kwargs: dict, tune=None) -> np.ndarray:
-    """(splits x 6) test-set metric means, METRIC_NAMES order; ``tune(train,
-    variant, hp)`` picks each split's hyperparameters from its training part."""
-    scores = np.empty((len(splits), len(METRIC_NAMES)))
-    for i, (train, test) in enumerate(splits):
+def _fold_reports(ds, splits: Sequence[Split], variant: Variant, hp: Hyperparams,
+                  fit_kwargs: dict, tune=None) -> List[EvalReport]:
+    """Each split's test-set scores; ``tune(train, variant, hp)`` picks each
+    split's hyperparameters from its training part."""
+    reports = []
+    for train, test in splits:
         hp_used = tune(train, variant, hp) if tune else hp
         res = fit(ds.X.data[train], ds.D.data[:, train], hp_used, variant, **fit_kwargs)
-        rep = evaluate(ds.D.data[:, test], predict(res.model, ds.X.data[test]))
-        scores[i] = [rep.mean(name) for name in METRIC_NAMES]
-    return scores
+        reports.append(evaluate(ds.D.data[:, test], predict(res.model, ds.X.data[test])))
+    return reports
 
 
 def _rows(ds, runs, splits: Sequence[Split], fit_kwargs: dict, tune=None) -> List[ResultRow]:
-    """Mean±std rows over the splits for each (tag, variant, hp) run."""
+    """Mean±std rows over the splits for each (tag, variant, hp) run; with a
+    single split the std is over its test instances."""
     rows: List[ResultRow] = []
     for tag, variant, hp in runs:
-        scores = _fold_scores(ds, splits, variant, hp, fit_kwargs, tune)
-        # One metric's column at a time: a 1-D mean sums pairwise, unlike axis=0.
-        rows += [ResultRow(ds.name, tag, name, float(np.mean(col)), float(np.std(col)))
-                 for name, col in zip(METRIC_NAMES, scores.T)]
+        reports = _fold_reports(ds, splits, variant, hp, fit_kwargs, tune)
+        for name in METRIC_NAMES:
+            means = np.array([rep.mean(name) for rep in reports])
+            std = reports[0].std(name) if len(reports) == 1 else np.std(means)
+            rows.append(ResultRow(ds.name, tag, name, float(np.mean(means)), float(std)))
     return rows
 
 
@@ -178,7 +179,6 @@ def cmd_cv(args) -> int:
     tune = None
     if args.grid:
         grid = _parse_grid(args.grid)
-        kl = METRIC_NAMES.index("kl")
 
         def tune(train, variant, hp) -> Hyperparams:
             """Inner 5-fold search on the training split; the first candidate
@@ -188,7 +188,7 @@ def cmd_cv(args) -> int:
             cands = [replace(hp, alpha=a, lam=l) for a, l in itertools.product(
                 grid.get("alpha", (hp.alpha,)), grid.get("lambda", (hp.lam,)))]
             return min(cands, key=lambda c: float(np.mean(
-                _fold_scores(sub, inner, variant, c, fit_kwargs)[:, kl])))
+                [rep.kl for rep in _fold_reports(sub, inner, variant, c, fit_kwargs)])))
 
     runs = [(v.value, v, hp) for v in variants]
     rows = _rows(ds, runs, _splits(ds.n, args.folds, args.seed), fit_kwargs, tune)
@@ -288,7 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("dataset")
     p.add_argument("--folds", type=int, default=10)
     p.add_argument("--holdout", type=float,
-                   help="use a single holdout split of this fraction instead of k folds")
+                   help="use a single holdout split of this fraction instead of k "
+                   "folds; the std columns are then over its test instances")
     _add_hp_flags(p)
     _add_common(p, variant=False)
     p.set_defaults(func=cmd_ablate)

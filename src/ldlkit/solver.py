@@ -21,11 +21,10 @@ The O-step matrix is 2 lam I plus a rank-<=2m term, so its minimizer is
 exactly O = U K with U = [D' P'] (n x 2m) and K from a 2m x 2m solve; ``fit``
 carries O as those factors and never builds an n x n array.  The W-step
 matrix is likewise A = X'X + 2 lam I plus mu (X'O)(X'O)', a rank-<=2m term
-once O = U K.  A is factored once per fit (its solve is also the ridge
-start), and each such W-step goes through a 2m x 2m push-through core; only
-the steps where O = I factor a d x d matrix.  Symmetric positive definite
-systems go through LAPACK Cholesky (potrf, potrs), the only place scipy is
-loaded.
+once O = U K.  One eigendecomposition of X'X per fit diagonalizes A (whose
+solve is also the ridge start) and every step where O = I; each later W-step
+goes through a 2m x 2m push-through core.  No d x d matrix is factored inside
+the loop, and the solver needs numpy alone.
 
 Ablation variants: ``ablation-a`` keeps the nuclear-norm pressure but applies
 it directly to the prediction W X' (no auxiliary task); it is the same loop
@@ -51,6 +50,7 @@ from .types import (
     SolverState,
     Standardizer,
     Variant,
+    parse_degradation,
     validate_distribution_matrix,
 )
 
@@ -83,45 +83,29 @@ def svt(A: np.ndarray, tau: float) -> np.ndarray:
     return (U * s) @ Vt
 
 
-def _factor_spd(M: np.ndarray, lam: float, what: str):
-    """Factor symmetric positive (semi-)definite M once; the returned function
-    solves M Z = B and gives a C-ordered Z.
+def _eigh_psd(M: np.ndarray, lam: float, what: str):
+    """Eigenvalues s (clipped at 0) and eigenvectors V of symmetric positive
+    semi-definite M, so that (M + 2 lam I)^-1 = V diag(1 / (s + 2 lam)) V'.
 
-    One LAPACK Cholesky factorization (potrf), then a solve (potrs) per call;
-    a 1 x 1 system is the plain quotient.  scipy is imported here and nowhere
-    else, so only commands that fit pay for loading it.
+    With lam = 0 the system must be nonsingular: s.min() above s.max() d eps,
+    numpy's matrix_rank tolerance.
     """
     if not np.isfinite(M).all():
         raise ValueError(f"{what} system has non-finite entries")
-    if M.shape[0] == 1 and M[0, 0] > 0.0:
-        return lambda B: B / M
-    from scipy.linalg import lapack
-
-    factor, info = lapack.dpotrf(M, lower=0, clean=0)
-    if info == 0:
-        # potrs returns F-ordered Z; later products must see the C layout.
-        return lambda B: np.ascontiguousarray(lapack.dpotrs(factor, B, lower=0)[0])
-    if lam == 0.0:
+    s, V = np.linalg.eigh(M)
+    if lam == 0.0 and s[0] <= s[-1] * len(s) * np.finfo(s.dtype).eps:
         raise SingularSystem(
             f"{what} system is rank-deficient; a positive lambda is required"
         )
-
-    # lam > 0 makes M nonsingular in exact arithmetic; fall back to LU when
-    # the Cholesky pivot check is defeated by extreme conditioning.
-    def lu_solve(B):
-        try:
-            return np.linalg.solve(M, B)
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystem(f"{what} system is numerically singular") from exc
-
-    return lu_solve
+    return np.maximum(s, 0.0), V
 
 
 def _solve_spd(M: np.ndarray, B: np.ndarray, lam: float, what: str) -> np.ndarray:
-    """Solve M Z = B for symmetric positive (semi-)definite M; Z is C-ordered."""
+    """Solve (M + 2 lam I) Z = B for symmetric positive semi-definite M."""
     if not np.isfinite(B).all():
         raise ValueError(f"{what} system has non-finite entries")
-    return _factor_spd(M, lam, what)(B)
+    s, V = _eigh_psd(M, lam, what)
+    return V @ ((V.T @ B) / (s + 2.0 * lam)[:, np.newaxis])
 
 
 class _Mixing:
@@ -194,9 +178,8 @@ def update_w(
         W = (D X + (mu G - multipliers) O' X)
             (X' X + mu X' O O' X + 2 lam I)^-1.
     """
-    d = X.shape[1]
     XO = X.T @ O                      # (d, n)
-    M = X.T @ X + penalty * (XO @ XO.T) + 2.0 * lam * np.eye(d)
+    M = X.T @ X + penalty * (XO @ XO.T)
     rhs = D @ X + (penalty * G - multipliers) @ XO.T
     return _solve_spd(M, rhs.T, lam, "W-step").T
 
@@ -250,13 +233,6 @@ def update_multipliers(
     )
 
 
-def _ridge(X: np.ndarray, D: np.ndarray, lam: float) -> np.ndarray:
-    """Closed-form minimizer of 1/2 ||W X' - D||^2 + lam ||W||^2."""
-    d = X.shape[1]
-    M = X.T @ X + 2.0 * lam * np.eye(d)
-    return _solve_spd(M, (D @ X).T, lam, "ridge").T
-
-
 def _nuclear_norm(A: np.ndarray) -> float:
     return float(np.linalg.svd(A, compute_uv=False).sum())
 
@@ -276,34 +252,35 @@ def _objective(W, X, D, alpha, lam, L=None, O=_Mixing()) -> float:
 def _w_steps(X, D, lam: float):
     """The ridge start and the W-step of one fit, sharing what does not change.
 
-    X'X, D X and the Cholesky factor of A = X'X + 2 lam I are computed once.
-    While O = I the step solves update_w's d x d system, formed the same way
-    from the cached X'X.  Once O = U K, the Gram mu (X'O)(X'O)' equals F F'
-    with F = sqrt(mu) X'U R' for the thin QR K' = Q R, and the push-through
-    (Woodbury) identity
+    X'X, D X and the eigendecomposition X'X = V diag(s) V' are computed once,
+    so A = X'X + 2 lam I has A^-1 = V diag(1 / (s + 2 lam)) V'.  While O = I
+    the step's matrix (1 + mu) X'X + 2 lam I is diagonal in the same basis.
+    Once O = U K, the Gram mu (X'O)(X'O)' equals F F' with F = sqrt(mu) X'U R'
+    for the thin QR K' = Q R, and the push-through (Woodbury) identity
 
         (A + F F')^-1 rhs' = Z - Y (I + F'Y)^-1 F'Z,   Y = A^-1 F, Z = A^-1 rhs',
 
     leaves one 2m x 2m system per step.  F comes from R rather than from K K',
     whose entries can be orders of magnitude larger than U K's when lam is small.
+    The step keeps F and Z in the eigenbasis (V'F, and Z'V in W's layout),
+    where applying A^-1 is a division by s + 2 lam.
     """
     XtX, DX = X.T @ X, D @ X
-    ridge = 2.0 * lam * np.eye(X.shape[1])
-    solve_a = _factor_spd(XtX + ridge, lam, "W-step")
+    s, V = _eigh_psd(XtX, lam, "W-step")
+    a = s + 2.0 * lam                                       # eigenvalues of A
 
     def step(O: _Mixing, G, multipliers, penalty: float) -> np.ndarray:
         if O.U is None:
-            M = XtX + penalty * XtX + ridge
             rhs = DX + (penalty * G - multipliers) @ X
-            return _solve_spd(M, rhs.T, lam, "W-step").T
+            return ((rhs @ V) / (a + penalty * s)) @ V.T
         XU = X.T @ O.U                                      # (d, 2m)
         rhs = DX + (penalty * G - multipliers) @ (XU @ O.K).T
-        F = np.sqrt(penalty) * XU @ np.linalg.qr(O.K.T, mode="r").T
-        Y, Z = solve_a(F), solve_a(rhs.T)
+        F = np.sqrt(penalty) * (V.T @ XU) @ np.linalg.qr(O.K.T, mode="r").T
+        Y, Z = F / a[:, np.newaxis], (rhs @ V) / a
         core = np.eye(F.shape[1]) + F.T @ Y
-        return (Z - Y @ _solve_spd(core, F.T @ Z, lam, "W-step")).T
+        return (Z - (Z @ F) @ np.linalg.solve(core, Y.T)) @ V.T
 
-    return solve_a(DX.T).T, step
+    return ((DX @ V) / a) @ V.T, step
 
 
 def _admm(X, D, L, hp: Hyperparams):
@@ -371,7 +348,7 @@ def fit(
     Dw = D.data
 
     if variant is Variant.ABLATION_B:
-        W = _ridge(Xw, Dw, hp.lam)
+        W, _ = _w_steps(Xw, Dw, hp.lam)
         model = LdlModel(W=W, variant=variant, hyperparams=hp,
                          standardizer=scaler, bias=add_bias)
         obj = _objective(W, Xw, Dw, 0.0, hp.lam)
@@ -439,48 +416,54 @@ def save_model(model: LdlModel, path) -> None:
 def load_model(path) -> LdlModel:
     """Load a model written by :func:`save_model`.
 
-    Errors name the file: ValueError for a file that is not such a model or
-    lacks an entry, ShapeMismatch for a W whose width disagrees with the
-    standardizer and the bias flag.
+    Errors name the file: ValueError for a file that is not such a model, or
+    whose entries are missing, unreadable or invalid; ShapeMismatch for a W
+    whose width disagrees with the standardizer and the bias flag.
     """
-    from .types import parse_degradation
-
     try:
         archive = np.load(path, allow_pickle=False)
     except (ValueError, EOFError, zipfile.BadZipFile):
         archive = None
     if not isinstance(archive, np.lib.npyio.NpzFile):
         raise ValueError(f"{path} is not an ldlkit model file")
-    with archive as z:
-        def entry(key):
-            if key not in z:
-                raise ValueError(f"{path}: model file has no {key!r} entry")
-            return z[key]
+    try:
+        with archive as z:
+            return _model_from_archive(z)
+    except (ValueError, ShapeMismatch) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
-        def scalar(key):
-            value = entry(key)
-            if value.size != 1:
-                raise ValueError(f"{path}: model entry {key!r} holds {value.size} values, not 1")
-            return value.item()
 
-        version = scalar("format_version")
-        if version != MODEL_FORMAT_VERSION:
-            raise ValueError(f"{path}: unsupported model format version {version}")
-        hp = Hyperparams(**{
-            f.name: parse_degradation(str(scalar(f.name))) if f.name == "degradation"
-            else scalar(f.name)
-            for f in fields(Hyperparams)
-        })
-        scaler = None
-        if bool(scalar("has_standardizer")):
-            scaler = Standardizer(mean=entry("feature_mean"), std=entry("feature_std"))
+def _model_from_archive(z) -> LdlModel:
+    """The model in an open archive; its errors leave the file name to the caller."""
+    def entry(key):
+        if key not in z:
+            raise ValueError(f"model file has no {key!r} entry")
         try:
-            return LdlModel(
-                W=entry("W"),
-                variant=Variant(str(scalar("variant"))),
-                hyperparams=hp,
-                standardizer=scaler,
-                bias=bool(scalar("bias")),
-            )
-        except ShapeMismatch as exc:
-            raise ShapeMismatch(f"{path}: {exc}") from None
+            return z[key]
+        except ValueError as exc:
+            raise ValueError(f"model entry {key!r} cannot be read: {exc}") from None
+
+    def scalar(key):
+        value = entry(key)
+        if value.size != 1:
+            raise ValueError(f"model entry {key!r} holds {value.size} values, not 1")
+        return value.item()
+
+    version = scalar("format_version")
+    if version != MODEL_FORMAT_VERSION:
+        raise ValueError(f"unsupported model format version {version}")
+    hp = Hyperparams(**{
+        f.name: parse_degradation(str(scalar(f.name))) if f.name == "degradation"
+        else scalar(f.name)
+        for f in fields(Hyperparams)
+    })
+    scaler = None
+    if bool(scalar("has_standardizer")):
+        scaler = Standardizer(mean=entry("feature_mean"), std=entry("feature_std"))
+    return LdlModel(
+        W=entry("W"),
+        variant=Variant(str(scalar("variant"))),
+        hyperparams=hp,
+        standardizer=scaler,
+        bias=bool(scalar("bias")),
+    )

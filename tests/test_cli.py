@@ -4,7 +4,8 @@ import sys
 import numpy as np
 import pytest
 
-from ldlkit import Variant, load_model, save_dataset, synth_lowrank
+from ldlkit import (Variant, evaluate, fit, load_dataset, load_model, predict,
+                    save_dataset, synth_lowrank)
 from ldlkit.cli import main
 
 
@@ -128,6 +129,23 @@ def test_ablate_emits_three_variants(capsys, synth_file):
     assert lines[1].startswith("synth,full,chebyshev,")
 
 
+def test_ablate_holdout_std_is_over_the_test_instances(capsys, synth_file):
+    code, stdout, _ = run(capsys, "ablate", synth_file, "--holdout", "0.25",
+                          "--seed", "2", "--format", "csv")
+    assert code == 0
+    rows = [line.split(",") for line in stdout.strip().splitlines()[1:]]
+    ds = load_dataset(synth_file)
+    test = np.random.default_rng(2).permutation(ds.n)[:15]
+    train = np.setdiff1d(np.arange(ds.n), test)
+    for variant in Variant:
+        res = fit(ds.X.data[train], ds.D.data[:, train], variant=variant)
+        rep = evaluate(ds.D.data[:, test], predict(res.model, ds.X.data[test]))
+        for _, _, metric, mean, std in (row for row in rows if row[1] == variant.value):
+            assert float(mean) == pytest.approx(rep.mean(metric), rel=1e-5)
+            assert float(std) == pytest.approx(rep.std(metric), rel=1e-5)
+            assert float(std) > 0
+
+
 def test_degrade_counts_and_matrix_file(tmp_path, capsys):
     # single Fig.-1-style instance: threshold 0.5 selects two labels
     path = tmp_path / "one.txt"
@@ -242,13 +260,39 @@ def loaded_modules(*argv):
             if line.startswith("import time:")}
 
 
-def test_only_fitting_commands_load_scipy(tmp_path):
-    def loads_scipy(*argv):
-        return any(name.split(".")[0] == "scipy" for name in loaded_modules(*argv))
-
+def test_no_command_loads_scipy(tmp_path):
     ds, model = str(tmp_path / "ds.txt"), str(tmp_path / "model.npz")
-    assert not loads_scipy("synth", "--n", "40", "--d", "4", "--m", "3", "--out", ds)
-    assert loads_scipy("train", ds, "--model-out", model)
-    assert not loads_scipy("predict", ds, "--model", model, "--out", str(tmp_path / "p.txt"))
-    assert not loads_scipy("evaluate", ds, "--model", model)
-    assert not loads_scipy("degrade", ds, "--out", str(tmp_path / "ml.txt"))
+    commands = [
+        ("synth", "--n", "40", "--d", "4", "--m", "3", "--out", ds),
+        ("train", ds, "--model-out", model),
+        ("cv", ds, "--variants", "full,ablation-a,ablation-b", "--folds", "3"),
+        ("ablate", ds, "--folds", "3"),
+        ("sweep", ds, "--param", "alpha", "--values", "0.1,1", "--folds", "3"),
+        ("predict", ds, "--model", model, "--out", str(tmp_path / "p.txt")),
+        ("evaluate", ds, "--model", model),
+        ("degrade", ds, "--out", str(tmp_path / "ml.txt")),
+    ]
+    for argv in commands:
+        scipy_modules = {name for name in loaded_modules(*argv)
+                         if name.split(".")[0] == "scipy"}
+        assert not scipy_modules, (argv[0], sorted(scipy_modules))
+
+
+def test_fitting_runs_where_scipy_cannot_be_imported(tmp_path):
+    script = """
+import sys
+sys.modules["scipy"] = None
+import ldlkit
+from ldlkit.cli import main
+
+ds = ldlkit.synth_lowrank(40, 4, 3, 2, 0.1, seed=0)
+for variant in ("full", "ablation-a", "ablation-b"):
+    assert ldlkit.fit(ds.X, ds.D, variant=variant).converged, variant
+ldlkit.save_dataset(ds, sys.argv[1])
+sys.exit(main(["cv", sys.argv[1], "--variants", "full,ablation-a,ablation-b",
+               "--folds", "3", "--format", "csv"]))
+"""
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "ds.txt")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert len(proc.stdout.splitlines()) == 1 + 3 * 6

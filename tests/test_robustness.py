@@ -129,3 +129,20 @@ def test_bias_column_alone_is_a_shape_mismatch(capsys, model_files):
     with pytest.raises(ShapeMismatch):
         load_model(path)
     assert "no feature column" in evaluate_error(capsys, tmp_path, path)
+
+
+@pytest.mark.parametrize("key", ["W", "alpha"])
+def test_model_entry_of_python_objects_is_a_clean_error(capsys, model_files, key):
+    tmp_path, entries = model_files
+    entries[key] = np.array([None], dtype=object)
+    path = tmp_path / "objects.npz"
+    np.savez(path, **entries)
+    assert f"model entry {key!r} cannot be read" in evaluate_error(capsys, tmp_path, path)
+
+
+def test_model_of_unknown_variant_is_a_clean_error(capsys, model_files):
+    tmp_path, entries = model_files
+    entries["variant"] = np.str_("bogus")
+    path = tmp_path / "bogus.npz"
+    np.savez(path, **entries)
+    assert "'bogus' is not a valid Variant" in evaluate_error(capsys, tmp_path, path)
