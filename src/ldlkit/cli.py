@@ -2,8 +2,9 @@
 
 Subcommands: train, predict, evaluate, cv, ablate, degrade, sweep, synth.
 Every command taking --seed is fully deterministic in its output bytes.
-Non-convergence of the solver is reported in the output, never via the exit
-code; module errors print a diagnostic and exit nonzero.
+Non-convergence of the solver is never signalled through the exit code:
+train reports it in its output, while cv, ablate and sweep do not report it
+yet.  Module errors print a diagnostic and exit nonzero.
 """
 from __future__ import annotations
 
@@ -124,6 +125,8 @@ def _parse_grid(spec: str) -> dict:
         key = key.strip().lower()
         if not sep or key not in ("alpha", "lambda"):
             raise ValueError(f"bad grid component {part!r}")
+        if key in grid:
+            raise ValueError(f"grid spec names {key!r} more than once")
         grid[key] = _parse_values(values, f"grid component {part!r}")
     if not grid:
         raise ValueError("empty grid spec")
@@ -175,6 +178,8 @@ def cmd_cv(args) -> int:
     ds = dio.load_dataset(args.dataset)
     hp = _hyperparams(args)
     variants = [Variant(v.strip()) for v in args.variants.split(",") if v.strip()]
+    if not variants:
+        raise ValueError(f"--variants {args.variants!r} lists no variants")
     fit_kwargs = _fit_kwargs(args)
     tune = None
     if args.grid:

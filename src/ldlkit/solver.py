@@ -26,6 +26,11 @@ solve is also the ridge start) and every step where O = I; each later W-step
 goes through a 2m x 2m push-through core.  No d x d matrix is factored inside
 the loop, and the solver needs numpy alone.
 
+The loop runs on plain arrays and forms W X' and W X' O once per iteration.
+The public steps (``update_g``, ``update_w``, ``update_o``,
+``update_multipliers``) take a dense O and a ``SolverState``; they are the
+dense reference that the loop is tested against.
+
 Ablation variants: ``ablation-a`` keeps the nuclear-norm pressure but applies
 it directly to the prediction W X' (no auxiliary task); it is the same loop
 with O held at the identity and the O-step skipped.  ``ablation-b`` is plain
@@ -108,35 +113,19 @@ def _solve_spd(M: np.ndarray, B: np.ndarray, lam: float, what: str) -> np.ndarra
     return V @ ((V.T @ B) / (s + 2.0 * lam)[:, np.newaxis])
 
 
-class _Mixing:
-    """Instance-mixing matrix O = U K held as its factors; U None means O = I.
-
-    ``A @ O`` multiplies through the factors, (A U) K, so the public steps
-    accept it wherever they accept a dense O.
-    """
-
-    __array_ufunc__ = None
-
-    def __init__(self, U: Optional[np.ndarray] = None, K: Optional[np.ndarray] = None):
-        self.U, self.K = U, K
-
-    def __rmatmul__(self, A: np.ndarray) -> np.ndarray:
-        return A if self.U is None else (A @ self.U) @ self.K
-
-
-def _o_factors(X, W, D, L, G, multipliers, penalty, lam):
-    """Factors U, K of the O-step minimizer O = U K.
+def _o_factors(P, D, L, G, multipliers, penalty, lam):
+    """Factors U, K of the O-step minimizer O = U K, given P = W X'.
 
     With U = [D' P'] and C = diag(2 I_m, mu I_m), the O-step matrix is
     U C U' + 2 lam I, and the push-through identity gives
     K = (2 lam I + C U'U)^-1 [2 L; mu G - multipliers].
     """
-    n, m = X.shape[0], D.shape[0]
+    n, m = P.shape[1], D.shape[0]
     if lam == 0.0 and n > 2 * m:
         raise SingularSystem(
             "O-step system is rank-deficient; a positive lambda is required"
         )
-    U = np.hstack([D.T, (W @ X.T).T])                     # (n, 2m)
+    U = np.hstack([D.T, P.T])                             # (n, 2m)
     c = np.repeat([2.0, penalty], m)
     M = c[:, np.newaxis] * (U.T @ U) + 2.0 * lam * np.eye(2 * m)
     rhs = np.vstack([2.0 * L, penalty * G - multipliers])
@@ -203,7 +192,7 @@ def update_o(
 
     computed through its factors (see :func:`_o_factors`).
     """
-    U, K = _o_factors(X, W, D, L, G, multipliers, penalty, lam)
+    U, K = _o_factors(W @ X.T, D, L, G, multipliers, penalty, lam)
     return U @ K
 
 
@@ -233,19 +222,15 @@ def update_multipliers(
     )
 
 
-def _nuclear_norm(A: np.ndarray) -> float:
-    return float(np.linalg.svd(A, compute_uv=False).sum())
-
-
-def _objective(W, X, D, alpha, lam, L=None, O=_Mixing()) -> float:
-    """Objective of the loop; the O terms apply only when L is given."""
-    P = W @ X.T
+def _objective(W, P, PO, D, alpha, lam, L=None, U=None, K=None) -> float:
+    """Objective of the loop at P = W X' and PO = P O; the O terms, with
+    O = U K, apply only when L is given."""
     value = (0.5 * np.linalg.norm(P - D) ** 2
-             + alpha * _nuclear_norm(P @ O)
+             + alpha * np.linalg.svd(PO, compute_uv=False).sum()
              + lam * np.linalg.norm(W) ** 2)
     if L is not None:
-        sq_norm_o = (((O.U.T @ O.U) @ O.K) * O.K).sum()        # ||U K||_F^2
-        value += np.linalg.norm(D @ O - L) ** 2 + lam * sq_norm_o
+        sq_norm_o = (((U.T @ U) @ K) * K).sum()                # ||U K||_F^2
+        value += np.linalg.norm((D @ U) @ K - L) ** 2 + lam * sq_norm_o
     return float(value)
 
 
@@ -269,13 +254,13 @@ def _w_steps(X, D, lam: float):
     s, V = _eigh_psd(XtX, lam, "W-step")
     a = s + 2.0 * lam                                       # eigenvalues of A
 
-    def step(O: _Mixing, G, multipliers, penalty: float) -> np.ndarray:
-        if O.U is None:
+    def step(U, K, G, multipliers, penalty: float) -> np.ndarray:
+        if U is None:
             rhs = DX + (penalty * G - multipliers) @ X
             return ((rhs @ V) / (a + penalty * s)) @ V.T
-        XU = X.T @ O.U                                      # (d, 2m)
-        rhs = DX + (penalty * G - multipliers) @ (XU @ O.K).T
-        F = np.sqrt(penalty) * (V.T @ XU) @ np.linalg.qr(O.K.T, mode="r").T
+        XU = X.T @ U                                        # (d, 2m)
+        rhs = DX + (penalty * G - multipliers) @ (XU @ K).T
+        F = np.sqrt(penalty) * (V.T @ XU) @ np.linalg.qr(K.T, mode="r").T
         Y, Z = F / a[:, np.newaxis], (rhs @ V) / a
         core = np.eye(F.shape[1]) + F.T @ Y
         return (Z - (Z @ F) @ np.linalg.solve(core, Y.T)) @ V.T
@@ -284,27 +269,35 @@ def _w_steps(X, D, lam: float):
 
 
 def _admm(X, D, L, hp: Hyperparams):
-    """The splitting loop.  With L None (ablation-a) O stays I and the O-step
-    is skipped, so the nuclear norm falls on W X' itself."""
+    """The splitting loop on plain arrays: W, P = W X' and PO = P O, with
+    O = U K (U, K None while O = I).  P and PO are formed once per iteration
+    and serve the dual update, the objective and the next G-step.  With L
+    None (ablation-a) O stays I and the O-step is skipped, so the nuclear
+    norm falls on W X' itself.  Returns W, the iterations run, the last
+    relative primal residual, the objective trace and the converged flag.
+    """
     W, w_step = _w_steps(X, D, hp.lam)
-    O = _Mixing()
-    state = SolverState(aux=W @ X.T @ O, multipliers=np.zeros(D.shape), penalty=hp.mu0)
+    PO = W @ X.T
+    U = K = None
+    multipliers, penalty = np.zeros(D.shape), hp.mu0
     trace = []
-    converged = False
-    for _ in range(hp.max_iters):
-        state.aux = update_g(W, X, O, state.multipliers, state.penalty, hp.alpha)
-        W_new = w_step(O, state.aux, state.multipliers, state.penalty)
+    for it in range(1, hp.max_iters + 1):
+        G = svt(PO + multipliers / penalty, hp.alpha / penalty)
+        W_new = w_step(U, K, G, multipliers, penalty)
         w_change = np.linalg.norm(W_new - W) / max(1.0, np.linalg.norm(W))
         W = W_new
+        P = PO = W @ X.T
         if L is not None:
-            O = _Mixing(*_o_factors(X, W, D, L, state.aux, state.multipliers,
-                                    state.penalty, hp.lam))
-        state = update_multipliers(state, W, X, O, hp.mu_growth, hp.mu_max)
-        trace.append(_objective(W, X, D, hp.alpha, hp.lam, L, O))
-        if state.primal_residual <= hp.tol and w_change <= hp.tol:
-            converged = True
-            break
-    return W, state, trace, converged
+            U, K = _o_factors(P, D, L, G, multipliers, penalty, hp.lam)
+            PO = (P @ U) @ K
+        residual = G - PO
+        primal = float(np.linalg.norm(residual) / max(1.0, np.linalg.norm(G)))
+        multipliers = multipliers - penalty * residual
+        penalty = min(hp.mu_growth * penalty, hp.mu_max)
+        trace.append(_objective(W, P, PO, D, hp.alpha, hp.lam, L, U, K))
+        if primal <= hp.tol and w_change <= hp.tol:
+            return W, it, primal, trace, True
+    return W, hp.max_iters, primal, trace, False
 
 
 def fit(
@@ -349,17 +342,15 @@ def fit(
 
     if variant is Variant.ABLATION_B:
         W, _ = _w_steps(Xw, Dw, hp.lam)
-        model = LdlModel(W=W, variant=variant, hyperparams=hp,
-                         standardizer=scaler, bias=add_bias)
-        obj = _objective(W, Xw, Dw, 0.0, hp.lam)
-        return FitResult(model, iterations_run=0, final_primal_residual=0.0,
-                         objective_trace=[obj], converged=True)
-
-    L = degrade(D, hp.degradation).data if variant is Variant.FULL else None
-    W, state, trace, converged = _admm(Xw, Dw, L, hp)
+        P = W @ Xw.T
+        iterations, primal, converged = 0, 0.0, True
+        trace = [_objective(W, P, P, Dw, 0.0, hp.lam)]
+    else:
+        L = degrade(D, hp.degradation).data if variant is Variant.FULL else None
+        W, iterations, primal, trace, converged = _admm(Xw, Dw, L, hp)
     model = LdlModel(W=W, variant=variant, hyperparams=hp,
                      standardizer=scaler, bias=add_bias)
-    return FitResult(model, state.iteration, state.primal_residual, trace, converged)
+    return FitResult(model, iterations, primal, trace, converged)
 
 
 def predict(model: LdlModel, x) -> np.ndarray:

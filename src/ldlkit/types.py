@@ -298,11 +298,12 @@ class LdlModel:
 
 @dataclass
 class SolverState:
-    """Mutable state of the splitting solver.
+    """State of the public, dense solver steps.
 
     ``aux`` is the low-rank auxiliary matrix, ``multipliers`` the running dual
     estimate, ``penalty`` the quadratic-coupling weight (non-decreasing, capped
-    at ``mu_max``).
+    at ``mu_max``).  ``fit``'s loop carries these as plain arrays; the public
+    steps and this state are the dense reference it is tested against.
     """
 
     aux: np.ndarray

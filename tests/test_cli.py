@@ -199,6 +199,23 @@ def test_grid_component_without_values_is_a_clean_error(capsys, synth_file, spec
     assert f"grid component {component!r} lists no values" in stderr
 
 
+def test_repeated_grid_key_is_a_clean_error(capsys, synth_file):
+    code, stdout, stderr = run(capsys, "cv", synth_file, "--folds", "3",
+                               "--grid", "alpha=1;lambda=0.1;alpha=0.1")
+    assert code == 1
+    assert stdout == ""
+    assert "grid spec names 'alpha' more than once" in stderr
+
+
+@pytest.mark.parametrize("variants", [",", ""])
+def test_empty_variants_list_is_a_clean_error(capsys, synth_file, variants):
+    code, stdout, stderr = run(capsys, "cv", synth_file, "--variants", variants,
+                               "--folds", "3", "--format", "csv")
+    assert code == 1
+    assert stdout == ""
+    assert stderr == f"error: --variants {variants!r} lists no variants\n"
+
+
 def csv_rows(capsys, *argv):
     code, stdout, _ = run(capsys, *argv, "--format", "csv")
     assert code == 0

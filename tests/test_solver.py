@@ -379,8 +379,20 @@ def test_solve_spd_without_ridge_on_rank_deficient_system_is_singular():
         _solve_spd(X.T @ X, rng.standard_normal((8, 3)), 0.0, "W-step")
 
 
+def documented_objective(W, X, D, O, L, hp, full):
+    """The module docstring's objective at a dense O; ablation-a drops the O terms."""
+    P = W @ X.T
+    value = (0.5 * np.linalg.norm(P - D) ** 2
+             + hp.alpha * np.linalg.svd(P @ O, compute_uv=False).sum()
+             + hp.lam * np.linalg.norm(W) ** 2)
+    if full:
+        value += np.linalg.norm(D @ O - L) ** 2 + hp.lam * np.linalg.norm(O) ** 2
+    return value
+
+
 def dense_reference_fit(X, D, hp, full):
-    """The splitting loop written from the dense public steps, O starting at I.
+    """The splitting loop written from the dense public steps, O starting at I,
+    with the documented objective after each iteration.
 
     For ablation-a the O-step is skipped, so O stays the identity."""
     n = X.shape[0]
@@ -389,6 +401,7 @@ def dense_reference_fit(X, D, hp, full):
     O = np.eye(n)
     L = degrade(D, hp.degradation).data
     state = SolverState(aux=W @ X.T @ O, multipliers=np.zeros(D.shape), penalty=hp.mu0)
+    trace = []
     for _ in range(hp.max_iters):
         state.aux = update_g(W, X, O, state.multipliers, state.penalty, hp.alpha)
         W_new = update_w(X, D, O, state.aux, state.multipliers, state.penalty, hp.lam)
@@ -397,9 +410,10 @@ def dense_reference_fit(X, D, hp, full):
         if full:
             O = update_o(X, W, D, L, state.aux, state.multipliers, state.penalty, hp.lam)
         state = update_multipliers(state, W, X, O, hp.mu_growth, hp.mu_max)
+        trace.append(documented_objective(W, X, D, O, L, hp, full))
         if state.primal_residual <= hp.tol and w_change <= hp.tol:
             break
-    return W, state
+    return W, state, trace
 
 
 @pytest.mark.parametrize("variant", ["full", "ablation-a"])
@@ -415,11 +429,15 @@ def test_fit_matches_dense_reference_loop(variant, shape, lam):
     ds = synth_lowrank(n, d, m, 2, 0.1, seed=15)
     hp = Hyperparams(alpha=alpha, lam=lam, mu_max=mu_max, max_iters=iters)
     res = fit(ds.X, ds.D, hp, variant=variant, standardize_features=False, add_bias=False)
-    W_ref, state = dense_reference_fit(ds.X.data, ds.D.data, hp, variant == "full")
+    W_ref, state, trace = dense_reference_fit(ds.X.data, ds.D.data, hp, variant == "full")
     assert res.iterations_run == state.iteration
     if schedule:
         assert state.penalty == mu_max
     np.testing.assert_allclose(res.model.W, W_ref, rtol=0, atol=1e-10)
+    assert len(res.objective_trace) == len(trace)
+    np.testing.assert_allclose(res.objective_trace, trace, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(res.final_primal_residual, state.primal_residual,
+                               rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("max_iters", [5, 50])
