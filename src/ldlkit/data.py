@@ -4,7 +4,9 @@ Two on-disk formats are supported:
 
 * ``MatrixText`` -- a header line ``n d m`` followed by n whitespace-separated
   feature rows (d values each) and n distribution rows (m values each).
-  Written with 17 significant digits so round-trips are bit-exact.
+  Written with 17 significant digits so round-trips are bit-exact.  Read
+  with numpy's C reader; a malformed file is parsed again line by line, only
+  to name the bad line.
 * ``Csv`` -- a header row ``f1..fd,y1..ym`` and one instance per row.
 
 Relative dataset paths that do not exist are also searched under the
@@ -14,15 +16,17 @@ from __future__ import annotations
 
 import csv
 import enum
+import io
 import os
 import re
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ParseError, ShapeMismatch
+from .errors import LdlError, ParseError, ShapeMismatch
 from .types import (
     FeatureMatrix,
     LabelDistributionMatrix,
@@ -101,30 +105,61 @@ def infer_format(path) -> FileFormat:
 
 def load_dataset(path, fmt: Optional[FileFormat] = None, name: Optional[str] = None) -> Dataset:
     """Load a dataset, validating and (within tolerance) renormalizing the
-    distribution columns."""
+    distribution columns.  Toolkit errors name the file; a ParseError keeps
+    its ``line``."""
     path = resolve_data_path(path)
     if fmt is None:
         fmt = infer_format(path)
     if name is None:
         name = Path(path).stem
-    if fmt is FileFormat.MATRIX_TEXT:
-        X, D, labels = _load_matrix_text(path)
-    else:
-        X, D, labels = _load_csv(path)
-    return Dataset(name, FeatureMatrix(X), validate_distribution_matrix(D), labels)
+    try:
+        if fmt is FileFormat.MATRIX_TEXT:
+            X, D, labels = _load_matrix_text(path)
+        else:
+            X, D, labels = _load_csv(path)
+        return Dataset(name, FeatureMatrix(X), validate_distribution_matrix(D), labels)
+    except LdlError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
+
+
+# loadtxt's notes on blank lines inside a block and on an exhausted file; the
+# shape checks in _load_matrix_text cover both.
+_LOADTXT_NO_DATA = r"Input line \d+ contained no data|loadtxt: input contained no data"
 
 
 def _load_matrix_text(path):
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            rows.append((lineno, line))
-    if not rows:
-        raise ParseError(1, "empty file")
-    lineno, header = rows[0]
+    """Read both blocks with numpy's C reader; a file that reader does not
+    take as exactly n rows of d and n rows of m values goes to the line
+    parser, which returns the same values or names the bad line.  The file
+    is read once, so both parse the same bytes, even from a pipe."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as fh, \
+                warnings.catch_warnings():
+            warnings.filterwarnings("ignore", _LOADTXT_NO_DATA, UserWarning)
+            lineno, header = 0, ""
+            while not header:
+                raw = fh.readline()
+                if not raw:
+                    raise ParseError(1, "empty file")
+                lineno, header = lineno + 1, raw.strip()
+            n, d, m = _parse_header(lineno, header)
+            # loadtxt allocates max_rows rows up front (MemoryError when the
+            # first row is far wider than d + m) and takes no n beyond int64;
+            # a file with fewer bytes than values is malformed anyway.
+            if n * (d + m) <= len(data):
+                X = np.loadtxt(fh, ndmin=2, max_rows=n, comments=None)
+                Drows = np.loadtxt(fh, ndmin=2, max_rows=n, comments=None)
+                if X.shape == (n, d) and Drows.shape == (n, m) and not fh.read().strip():
+                    return X, Drows.T, None
+    except (ParseError, ValueError, MemoryError):
+        pass
+    return _parse_matrix_text(data)
+
+
+def _parse_header(lineno, header):
     parts = header.split()
     if len(parts) != 3:
         raise ParseError(lineno, f"header must be 'n d m', got {header!r}")
@@ -134,6 +169,29 @@ def _load_matrix_text(path):
         raise ParseError(lineno, f"header values must be integers, got {header!r}") from None
     if n < 1 or d < 1 or m < 1:
         raise ParseError(lineno, f"header values must be positive, got {header!r}")
+    return n, d, m
+
+
+def _parse_matrix_text(data: bytes):
+    """Parse MatrixText bytes line by line with ``float()``; raises ParseError
+    naming the first bad line (and, for a bad value, its 1-based column)."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = _universal_newlines(data[:exc.start].decode("utf-8"))
+        raise ParseError(
+            head.count("\n") + 1,
+            f"byte {data[exc.start]:#04x} is not valid UTF-8 ({exc.reason})",
+        ) from None
+    rows = []
+    for lineno, raw in enumerate(_universal_newlines(text).split("\n"), start=1):
+        line = raw.strip()
+        if line:
+            rows.append((lineno, line))
+    if not rows:
+        raise ParseError(1, "empty file")
+    lineno, header = rows[0]
+    n, d, m = _parse_header(lineno, header)
     body = rows[1:]
     if len(body) != 2 * n:
         last = body[-1][0] if body else lineno
@@ -145,15 +203,23 @@ def _load_matrix_text(path):
             vals = line.split()
             if len(vals) != width:
                 raise ParseError(ln, f"expected {width} {what} values, got {len(vals)}")
-            try:
-                out[i] = [float(v) for v in vals]
-            except ValueError:
-                raise ParseError(ln, f"non-numeric {what} value") from None
+            for j, v in enumerate(vals):
+                try:
+                    out[i, j] = float(v)
+                except ValueError:
+                    raise ParseError(
+                        ln, f"non-numeric {what} value {v!r} in column {j + 1}"
+                    ) from None
         return out
 
     X = parse_block(body[:n], d, "feature")
     Drows = parse_block(body[n:], m, "distribution")
     return X, Drows.T, None
+
+
+def _universal_newlines(text: str) -> str:
+    """``text`` with line ends as a text-mode file reads them: CRLF and CR become LF."""
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _load_csv(path):

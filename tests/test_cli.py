@@ -313,3 +313,19 @@ sys.exit(main(["cv", sys.argv[1], "--variants", "full,ablation-a,ablation-b",
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert len(proc.stdout.splitlines()) == 1 + 3 * 6
+
+
+def test_dataset_parse_error_names_file_and_line(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("2 2 2\n1 2\n3 4\n0.5 0.5\n0.5 0.5\n0.5 0.5\n", encoding="utf-8")
+    code, stdout, stderr = run(capsys, "degrade", str(bad))
+    assert code == 1 and stdout == ""
+    assert stderr == f"error: {bad}: line 6: expected 4 data lines, found 5\n"
+
+
+def test_non_utf8_dataset_names_file_and_line(tmp_path, capsys):
+    bad = tmp_path / "bytes.txt"
+    bad.write_bytes(b"2 2 2\n1 2\n3 \xff\n0.5 0.5\n0.5 0.5\n")
+    code, stdout, stderr = run(capsys, "degrade", str(bad))
+    assert code == 1 and stdout == ""
+    assert stderr == f"error: {bad}: line 3: byte 0xff is not valid UTF-8 (invalid start byte)\n"

@@ -1,3 +1,4 @@
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from ldlkit import (
     subset,
     synth_lowrank,
 )
+from ldlkit import data as dio
 from ldlkit.errors import ColumnNotSimplex, ParseError, ShapeMismatch
 
 MATRIX_TEXT = """3 2 2
@@ -207,3 +209,135 @@ def test_subset():
     assert sub.n == 3
     np.testing.assert_array_equal(sub.X.data, ds.X.data[[1, 5, 7]])
     np.testing.assert_array_equal(sub.D.data, ds.D.data[:, [1, 5, 7]])
+
+
+# MatrixText variants that must parse exactly as float() reads each token.
+# Each is (text, feature rows, distribution rows) with the rows as tokens.
+def _variant(feat, dist, sep=" ", nl="\n", pad="", blank=""):
+    rows = [f"{len(feat)} {len(feat[0])} {len(dist[0])}"]
+    for i, row in enumerate(feat + dist):
+        if i in (1, len(feat) + 1):
+            rows.append(blank)
+        rows.append(pad + sep.join(row) + pad)
+    return nl.join(rows) + nl, feat, dist
+
+
+_FEAT = [["1.0", "2.0"], ["3.5", "-4"], ["5e-3", "6"]]
+_DIST = [["0.7", "0.3"], ["0.2", "0.8"], ["0.5", "0.5"]]
+WELL_FORMED = {
+    "blank_lines": _variant(_FEAT, _DIST, blank=""),
+    "whitespace_lines": _variant(_FEAT, _DIST, blank=" \t "),
+    "trailing_blank_lines": (_variant(_FEAT, _DIST)[0] + "\n  \n\t\n", _FEAT, _DIST),
+    "crlf": _variant(_FEAT, _DIST, nl="\r\n", blank=" "),
+    "tabs": _variant(_FEAT, _DIST, sep="\t"),
+    "padded": _variant(_FEAT, _DIST, sep=" \t  ", pad="  "),
+    "n1": _variant([["1", "2", "3"]], [["0.25", "0.75"]]),
+    "d1": _variant([["1"], ["2"], ["3"]], _DIST),
+    "m1": _variant(_FEAT, [["1"], ["1.0"], ["1e0"]]),
+    "n1_d1_m1": _variant([["-7"]], [["1"]]),
+    "extreme_values": _variant([["-0.0", "5e-324"], ["1e22", "-1e-300"], ["0", "0"]], _DIST),
+    "no_final_newline": (_variant(_FEAT, _DIST)[0].rstrip("\n"), _FEAT, _DIST),
+}
+UNDERSCORE = _variant([["1_0", "2"], ["3", "4"]], [["0.5", "0.5"], ["1", "0"]])
+
+
+def _reference(rows):
+    return np.array([[float(v) for v in row] for row in rows])
+
+
+@pytest.mark.parametrize("case", [*WELL_FORMED, "underscore"])
+def test_matrix_text_variants_parse_like_float(tmp_path, case):
+    text, feat, dist = UNDERSCORE if case == "underscore" else WELL_FORMED[case]
+    path = tmp_path / "v.txt"
+    path.write_bytes(text.encode("utf-8"))
+    ds = load_dataset(path)
+    assert ds.X.data.tobytes() == _reference(feat).tobytes()
+    assert ds.D.data.T.tobytes() == _reference(dist).tobytes()
+
+
+@pytest.mark.parametrize("case", [*WELL_FORMED, "saved"])
+def test_well_formed_matrix_text_skips_line_parser(tmp_path, monkeypatch, case):
+    def fail(data):
+        raise AssertionError("well-formed file reached the line parser")
+
+    path = tmp_path / "v.txt"
+    if case == "saved":
+        save_dataset(synth_lowrank(30, 4, 3, 2, 0.1, seed=0), path)
+    else:
+        path.write_bytes(WELL_FORMED[case][0].encode("utf-8"))
+    monkeypatch.setattr(dio, "_parse_matrix_text", fail)
+    load_dataset(path)
+
+
+# (text, line, message after "line N: "); the lines are those the
+# line-by-line parser has always reported.
+MALFORMED = {
+    "hash_line": (MATRIX_TEXT.replace("3.0 4.0\n", "# note\n3.0 4.0\n"), 8,
+                  "expected 6 data lines, found 7"),
+    "hash_line_distribution": (MATRIX_TEXT.replace("0.2 0.8\n", "# note\n0.2 0.8\n"), 8,
+                               "expected 6 data lines, found 7"),
+    "hash_header": ("# data\n" + MATRIX_TEXT, 1, "header must be 'n d m', got '# data'"),
+    "hash_value": (MATRIX_TEXT.replace("3.0 4.0", "3.0 #4.0"), 3,
+                   "non-numeric feature value '#4.0' in column 2"),
+    "extra_line": (MATRIX_TEXT + "0.5 0.5\n", 8, "expected 6 data lines, found 7"),
+    "short_row": (MATRIX_TEXT.replace("3.0 4.0", "3.0"), 3, "expected 2 feature values, got 1"),
+    "long_row": (MATRIX_TEXT.replace("0.2 0.8", "0.2 0.8 0.0"), 6,
+                 "expected 2 distribution values, got 3"),
+    "bad_feature": (MATRIX_TEXT.replace("5.0 6.0", "5.0 x"), 4,
+                    "non-numeric feature value 'x' in column 2"),
+    "bad_distribution": (MATRIX_TEXT.replace("0.2 0.8", "abc 0.8"), 6,
+                         "non-numeric distribution value 'abc' in column 1"),
+    "bad_header": (MATRIX_TEXT.replace("3 2 2", "3 2"), 1, "header must be 'n d m', got '3 2'"),
+    "float_header": (MATRIX_TEXT.replace("3 2 2", "3 2.0 2"), 1,
+                     "header values must be integers, got '3 2.0 2'"),
+    "empty": ("", 1, "empty file"),
+    "blank": ("\n  \n", 1, "empty file"),
+    "truncated": ("\n".join(MATRIX_TEXT.splitlines()[:4]) + "\n", 4,
+                  "expected 6 data lines, found 3"),
+    "header_overstates_n": (MATRIX_TEXT.replace("3 2 2", "1000000000 2 2"), 7,
+                            "expected 2000000000 data lines, found 6"),
+    "header_beyond_int64": (MATRIX_TEXT.replace("3 2 2", f"{2**63} 2 2"), 7,
+                            f"expected {2**64} data lines, found 6"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_matrix_text_reports_line(tmp_path, case):
+    text, line, reason = MALFORMED[case]
+    path = write(tmp_path, "bad.txt", text)
+    with pytest.raises(ParseError) as exc:
+        load_dataset(path)
+    assert exc.value.line == line
+    assert exc.value.reason == reason
+    assert str(exc.value) == f"{path}: line {line}: {reason}"
+
+
+def test_non_utf8_byte_reports_line(tmp_path):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(MATRIX_TEXT.replace("5.0 6.0", "5.0 6.0 \xe9").encode("latin-1"))
+    with pytest.raises(ParseError) as exc:
+        load_dataset(path)
+    assert exc.value.line == 4
+    assert exc.value.reason == "byte 0xe9 is not valid UTF-8 (invalid continuation byte)"
+
+
+def test_loadtxt_notes_stay_off_stderr(tmp_path):
+    spaced = MATRIX_TEXT.replace("\n", "\n\n  \n")
+    truncated = "\n".join(MATRIX_TEXT.splitlines()[:4]) + "\n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ds = load_dataset(write(tmp_path, "spaced.txt", spaced))
+        with pytest.raises(ParseError):
+            load_dataset(write(tmp_path, "trunc.txt", truncated))
+    np.testing.assert_array_equal(ds.X.data, [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+
+
+def test_dataset_errors_name_the_file(tmp_path):
+    path = write(tmp_path, "sums.txt", MATRIX_TEXT.replace("0.7 0.3", "0.68 0.3"))
+    with pytest.raises(ColumnNotSimplex) as exc:
+        load_dataset(path)
+    assert str(exc.value).startswith(f"{path}: 1 column(s) violate")
+    with pytest.raises(ParseError) as exc:
+        load_dataset(write(tmp_path, "r.csv", "f1,y1\n0.5\n"))
+    assert exc.value.line == 2
+    assert str(exc.value) == f"{tmp_path / 'r.csv'}: line 2: expected 2 columns, got 1"
