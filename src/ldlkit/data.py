@@ -5,9 +5,13 @@ Two on-disk formats are supported:
 * ``MatrixText`` -- a header line ``n d m`` followed by n whitespace-separated
   feature rows (d values each) and n distribution rows (m values each).
   Written with 17 significant digits so round-trips are bit-exact.  Read
-  with numpy's C reader; a malformed file is parsed again line by line, only
-  to name the bad line.
+  with numpy's C reader; a file it does not take as finite rows of the
+  header's widths is parsed again line by line, only to name the bad line.
 * ``Csv`` -- a header row ``f1..fd,y1..ym`` and one instance per row.
+
+Both formats decode with ``_decode`` and parse rows with ``_parse_rows``: a
+bad byte, a non-numeric or non-finite value, or a row of the wrong width
+raises a ParseError naming the file, the line and, for a value, its column.
 
 Relative dataset paths that do not exist are also searched under the
 ``LDL_DATA_DIR`` environment variable.
@@ -17,6 +21,7 @@ from __future__ import annotations
 import csv
 import enum
 import io
+import math
 import os
 import re
 import warnings
@@ -130,9 +135,9 @@ _LOADTXT_NO_DATA = r"Input line \d+ contained no data|loadtxt: input contained n
 
 def _load_matrix_text(path):
     """Read both blocks with numpy's C reader; a file that reader does not
-    take as exactly n rows of d and n rows of m values goes to the line
-    parser, which returns the same values or names the bad line.  The file
-    is read once, so both parse the same bytes, even from a pipe."""
+    take as exactly n rows of d and n rows of m finite values goes to the
+    line parser, which returns the same values or names the bad line.  The
+    file is read once, so both parse the same bytes, even from a pipe."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
@@ -152,7 +157,8 @@ def _load_matrix_text(path):
             if n * (d + m) <= len(data):
                 X = np.loadtxt(fh, ndmin=2, max_rows=n, comments=None)
                 Drows = np.loadtxt(fh, ndmin=2, max_rows=n, comments=None)
-                if X.shape == (n, d) and Drows.shape == (n, m) and not fh.read().strip():
+                if (X.shape == (n, d) and Drows.shape == (n, m) and not fh.read().strip()
+                        and np.isfinite(X).all() and np.isfinite(Drows).all()):
                     return X, Drows.T, None
     except (ParseError, ValueError, MemoryError):
         pass
@@ -175,16 +181,8 @@ def _parse_header(lineno, header):
 def _parse_matrix_text(data: bytes):
     """Parse MatrixText bytes line by line with ``float()``; raises ParseError
     naming the first bad line (and, for a bad value, its 1-based column)."""
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        head = _universal_newlines(data[:exc.start].decode("utf-8"))
-        raise ParseError(
-            head.count("\n") + 1,
-            f"byte {data[exc.start]:#04x} is not valid UTF-8 ({exc.reason})",
-        ) from None
     rows = []
-    for lineno, raw in enumerate(_universal_newlines(text).split("\n"), start=1):
+    for lineno, raw in enumerate(_universal_newlines(_decode(data)).split("\n"), start=1):
         line = raw.strip()
         if line:
             rows.append((lineno, line))
@@ -192,29 +190,23 @@ def _parse_matrix_text(data: bytes):
         raise ParseError(1, "empty file")
     lineno, header = rows[0]
     n, d, m = _parse_header(lineno, header)
-    body = rows[1:]
+    body = [(ln, line.split()) for ln, line in rows[1:]]
     if len(body) != 2 * n:
         last = body[-1][0] if body else lineno
         raise ParseError(last, f"expected {2 * n} data lines, found {len(body)}")
-
-    def parse_block(block, width, what):
-        out = np.empty((len(block), width))
-        for i, (ln, line) in enumerate(block):
-            vals = line.split()
-            if len(vals) != width:
-                raise ParseError(ln, f"expected {width} {what} values, got {len(vals)}")
-            for j, v in enumerate(vals):
-                try:
-                    out[i, j] = float(v)
-                except ValueError:
-                    raise ParseError(
-                        ln, f"non-numeric {what} value {v!r} in column {j + 1}"
-                    ) from None
-        return out
-
-    X = parse_block(body[:n], d, "feature")
-    Drows = parse_block(body[n:], m, "distribution")
+    X = _parse_rows(body[:n], d, "feature value", "feature values")
+    Drows = _parse_rows(body[n:], m, "distribution value", "distribution values")
     return X, Drows.T, None
+
+
+def _decode(data: bytes) -> str:
+    """``data`` as UTF-8 text; a byte that is not UTF-8 raises ParseError on its line."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = _universal_newlines(data[:exc.start].decode("utf-8")).count("\n") + 1
+        reason = f"byte {data[exc.start]:#04x} is not valid UTF-8 ({exc.reason})"
+        raise ParseError(line, reason) from None
 
 
 def _universal_newlines(text: str) -> str:
@@ -222,36 +214,46 @@ def _universal_newlines(text: str) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
-def _load_csv(path):
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(1, "empty file") from None
-        names = [h.strip() for h in header]
-        d = 0
-        while d < len(names) and re.fullmatch(r"f\d+", names[d]):
-            d += 1
-        m = len(names) - d
-        if d < 1 or m < 1:
-            raise ParseError(1, f"header must name f1..fd then y1..ym columns, got {header!r}")
-        feats, dists = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != d + m:
-                raise ParseError(lineno, f"expected {d + m} columns, got {len(row)}")
+def _parse_rows(rows, width, value="value", unit="columns"):
+    """Parse ``(line, tokens)`` pairs with ``float()`` into a (len(rows), width)
+    array; a row of another width, or a token that is not a finite number
+    (named with its 1-based column), raises ParseError on its line."""
+    out = np.empty((len(rows), width))
+    for i, (line, tokens) in enumerate(rows):
+        if len(tokens) != width:
+            raise ParseError(line, f"expected {width} {unit}, got {len(tokens)}")
+        for j, token in enumerate(tokens):
             try:
-                vals = [float(c) for c in row]
+                out[i, j] = x = float(token)
             except ValueError:
-                raise ParseError(lineno, "non-numeric value") from None
-            feats.append(vals[:d])
-            dists.append(vals[d:])
-    if not feats:
+                raise ParseError(
+                    line, f"non-numeric {value} {token!r} in column {j + 1}"
+                ) from None
+            if not math.isfinite(x):
+                raise ParseError(line, f"non-finite {value} {token!r} in column {j + 1}")
+    return out
+
+
+def _load_csv(path):
+    with open(path, "rb") as fh:
+        reader = csv.reader(io.StringIO(_decode(fh.read()), newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ParseError(1, "empty file") from None
+    names = [h.strip() for h in header]
+    d = 0
+    while d < len(names) and re.fullmatch(r"f\d+", names[d]):
+        d += 1
+    m = len(names) - d
+    if d < 1 or m < 1:
+        raise ParseError(1, f"header must name f1..fd then y1..ym columns, got {header!r}")
+    rows = [(lineno, row) for lineno, row in enumerate(reader, start=2)
+            if any(c.strip() for c in row)]
+    if not rows:
         raise ParseError(2, "no data rows")
-    labels = tuple(h.strip() for h in header[d:])
-    return np.asarray(feats), np.asarray(dists).T, labels
+    values = _parse_rows(rows, d + m)
+    return values[:, :d], values[:, d:].T, tuple(names[d:])
 
 
 def save_dataset(ds: Dataset, path, fmt: Optional[FileFormat] = None) -> None:

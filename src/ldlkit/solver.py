@@ -44,7 +44,6 @@ from typing import List, Optional, Union
 
 import numpy as np
 
-from .data import standardize
 from .degrade import degrade
 from .errors import ShapeMismatch, SingularSystem, SvdFailure
 from .types import (
@@ -332,13 +331,10 @@ def fit(
     hp = hp or Hyperparams()
     variant = Variant(variant)
 
-    Xw = X.data
     scaler = None
     if standardize_features:
-        Xw, _, scaler = standardize(Xw)
-    if add_bias:
-        Xw = np.hstack([Xw, np.ones((Xw.shape[0], 1))])
-    Dw = D.data
+        scaler = Standardizer(mean=X.data.mean(axis=0), std=X.data.std(axis=0))
+    Xw, Dw = _design(X.data, scaler, add_bias), D.data
 
     if variant is Variant.ABLATION_B:
         W, _ = _w_steps(Xw, Dw, hp.lam)
@@ -351,6 +347,14 @@ def fit(
     model = LdlModel(W=W, variant=variant, hyperparams=hp,
                      standardizer=scaler, bias=add_bias)
     return FitResult(model, iterations, primal, trace, converged)
+
+
+def _design(X, scaler: Optional[Standardizer], bias: bool) -> np.ndarray:
+    """Features as a model's W sees them: z-scored by ``scaler`` (if any),
+    then with a constant-1 column appended when ``bias``."""
+    if scaler is not None:
+        X = scaler.transform(X)
+    return np.hstack([X, np.ones((X.shape[0], 1))]) if bias else X
 
 
 def predict(model: LdlModel, x) -> np.ndarray:
@@ -369,11 +373,7 @@ def predict(model: LdlModel, x) -> np.ndarray:
         )
     if not np.all(np.isfinite(X)):
         raise ValueError("features contain non-finite entries")
-    if model.standardizer is not None:
-        X = model.standardizer.transform(X)
-    if model.bias:
-        X = np.hstack([X, np.ones((X.shape[0], 1))])
-    raw = model.W @ X.T                                  # (m, batch)
+    raw = model.W @ _design(X, model.standardizer, model.bias).T  # (m, batch)
     raw = np.maximum(raw, 0.0)
     totals = raw.sum(axis=0)
     flat = totals <= 0.0
@@ -421,7 +421,8 @@ def load_model(path) -> LdlModel:
         with archive as z:
             return _model_from_archive(z)
     except (ValueError, ShapeMismatch) as exc:
-        raise type(exc)(f"{path}: {exc}") from None
+        exc.args = (f"{path}: {exc}",)
+        raise
 
 
 def _model_from_archive(z) -> LdlModel:

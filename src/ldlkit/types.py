@@ -249,10 +249,7 @@ class Standardizer:
         X = np.asarray(X, dtype=np.float64)
         safe = np.where(self.std == 0.0, 1.0, self.std)
         out = (X - self.mean) / safe
-        if X.ndim == 1:
-            out[self.std == 0.0] = 0.0
-        else:
-            out[:, self.std == 0.0] = 0.0
+        out[..., self.std == 0.0] = 0.0
         return out
 
 

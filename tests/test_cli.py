@@ -329,3 +329,22 @@ def test_non_utf8_dataset_names_file_and_line(tmp_path, capsys):
     code, stdout, stderr = run(capsys, "degrade", str(bad))
     assert code == 1 and stdout == ""
     assert stderr == f"error: {bad}: line 3: byte 0xff is not valid UTF-8 (invalid start byte)\n"
+
+
+BAD_DATASETS = {
+    "nan.txt": (b"2 2 2\n1 2\n3 nan\n0.5 0.5\n0.5 0.5\n",
+                "line 3: non-finite feature value 'nan' in column 2"),
+    "nan.csv": (b"f1,y1\n0.5,1\nnan,1\n", "line 3: non-finite value 'nan' in column 1"),
+    "bytes.csv": (b"f1,y1\n0.5,1\n0.\xff,1\n",
+                  "line 3: byte 0xff is not valid UTF-8 (invalid start byte)"),
+}
+
+
+@pytest.mark.parametrize("name", BAD_DATASETS)
+def test_bad_value_or_byte_names_file_and_line(tmp_path, capsys, name):
+    data, message = BAD_DATASETS[name]
+    bad = tmp_path / name
+    bad.write_bytes(data)
+    code, stdout, stderr = run(capsys, "degrade", str(bad))
+    assert code == 1 and stdout == ""
+    assert stderr == f"error: {bad}: {message}\n"

@@ -298,6 +298,12 @@ MALFORMED = {
                             "expected 2000000000 data lines, found 6"),
     "header_beyond_int64": (MATRIX_TEXT.replace("3 2 2", f"{2**63} 2 2"), 7,
                             f"expected {2**64} data lines, found 6"),
+    "nan_feature": (MATRIX_TEXT.replace("3.0 4.0", "3.0 nan"), 3,
+                    "non-finite feature value 'nan' in column 2"),
+    "inf_distribution": (MATRIX_TEXT.replace("0.2 0.8", "inf 0.8"), 6,
+                         "non-finite distribution value 'inf' in column 1"),
+    "overflow": (MATRIX_TEXT.replace("5.0 6.0", "1e400 6.0"), 4,
+                 "non-finite feature value '1e400' in column 1"),
 }
 
 
@@ -341,3 +347,39 @@ def test_dataset_errors_name_the_file(tmp_path):
         load_dataset(write(tmp_path, "r.csv", "f1,y1\n0.5\n"))
     assert exc.value.line == 2
     assert str(exc.value) == f"{tmp_path / 'r.csv'}: line 2: expected 2 columns, got 1"
+
+
+CSV = b"f1,y1\n0.5,1\n0.25,1\n"
+# (bytes, line, message after "line N: ") for the CSV reader.
+MALFORMED_CSV = {
+    "bad_byte": (CSV.replace(b"0.25", b"0.2\xff"), 3,
+                 "byte 0xff is not valid UTF-8 (invalid start byte)"),
+    "bad_value": (CSV.replace(b"0.25,1", b"0.25,x"), 3, "non-numeric value 'x' in column 2"),
+    "empty_value": (CSV.replace(b"0.25,1", b",1"), 3, "non-numeric value '' in column 1"),
+    "short_row": (b"f1,y1\n0.5\n", 2, "expected 2 columns, got 1"),
+    "nan": (CSV.replace(b"0.25", b"nan"), 3, "non-finite value 'nan' in column 1"),
+    "overflow": (CSV.replace(b"0.5,1", b"0.5,1e400"), 2, "non-finite value '1e400' in column 2"),
+    "header_only": (b"f1,y1\n", 2, "no data rows"),
+    "after_blank_records": (b"f1,y1\n\n , \n0.5,x\n", 4, "non-numeric value 'x' in column 2"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_CSV)
+def test_malformed_csv_reports_line(tmp_path, case):
+    data, line, reason = MALFORMED_CSV[case]
+    path = tmp_path / "bad.csv"
+    path.write_bytes(data)
+    with pytest.raises(ParseError) as exc:
+        load_dataset(path)
+    assert exc.value.line == line
+    assert exc.value.reason == reason
+    assert str(exc.value) == f"{path}: line {line}: {reason}"
+
+
+def test_csv_skips_blank_records(tmp_path):
+    path = tmp_path / "blanks.csv"
+    path.write_bytes(b"f1,y1\n\n0.5,1\r\n , \n\n0.25,1\n\n")
+    ds = load_dataset(path)
+    np.testing.assert_array_equal(ds.X.data, [[0.5], [0.25]])
+    np.testing.assert_array_equal(ds.D.data, [[1.0, 1.0]])
+    assert ds.label_names == ("y1",)
