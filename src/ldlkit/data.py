@@ -238,17 +238,19 @@ def _load_csv(path):
     with open(path, "rb") as fh:
         reader = csv.reader(io.StringIO(_decode(fh.read()), newline=""))
     try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError(1, "empty file") from None
-    names = [h.strip() for h in header]
+        records = list(reader)
+    except csv.Error as exc:
+        raise ParseError(reader.line_num, str(exc)) from None
+    if not records:
+        raise ParseError(1, "empty file")
+    names = [h.strip() for h in records[0]]
     d = 0
     while d < len(names) and re.fullmatch(r"f\d+", names[d]):
         d += 1
     m = len(names) - d
     if d < 1 or m < 1:
-        raise ParseError(1, f"header must name f1..fd then y1..ym columns, got {header!r}")
-    rows = [(lineno, row) for lineno, row in enumerate(reader, start=2)
+        raise ParseError(1, f"header must name f1..fd then y1..ym columns, got {records[0]!r}")
+    rows = [(lineno, row) for lineno, row in enumerate(records[1:], start=2)
             if any(c.strip() for c in row)]
     if not rows:
         raise ParseError(2, "no data rows")

@@ -45,3 +45,7 @@ class SvdFailure(LdlError):
 
 class SingularSystem(LdlError):
     """A linear system in a solver step is singular (rank-deficient Gram matrix)."""
+
+
+class NonFiniteIterate(LdlError):
+    """A solver iterate overflowed to inf or nan; names the iteration."""

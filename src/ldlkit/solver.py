@@ -14,27 +14,22 @@ closed-form updates plus a singular-value-thresholding step:
 
 All subproblems are solved exactly (no explicit inverses), the coupling
 penalty grows geometrically up to ``mu_max``, and the stopping rule combines
-the relative constraint residual with the relative change of W.  Everything
-is deterministic: there is no randomized initialization.
+the relative constraint residual with the relative change of W; a non-finite
+iterate raises ``NonFiniteIterate``.  Nothing is randomized.
 
 The O-step matrix is 2 lam I plus a rank-<=2m term, so its minimizer is
 exactly O = U K with U = [D' P'] (n x 2m) and K from a 2m x 2m solve; ``fit``
-carries O as those factors and never builds an n x n array.  The W-step
-matrix is likewise A = X'X + 2 lam I plus mu (X'O)(X'O)', a rank-<=2m term
-once O = U K.  One eigendecomposition of X'X per fit diagonalizes A (whose
-solve is also the ridge start) and every step where O = I; each later W-step
-goes through a 2m x 2m push-through core.  No d x d matrix is factored inside
-the loop, and the solver needs numpy alone.
+never builds an n x n array.  The W-step matrix is X'X + 2 lam I plus a
+rank-<=2m term too, and the loop runs in the eigenbasis V of X'X, taken once
+per fit: it carries W V, so each W-step is a diagonal or 2m x 2m solve, no
+iteration takes a d x d product, and W is rotated back once.  numpy suffices.
 
-The loop runs on plain arrays and forms W X' and W X' O once per iteration.
-The public steps (``update_g``, ``update_w``, ``update_o``,
-``update_multipliers``) take a dense O and a ``SolverState``; they are the
-dense reference that the loop is tested against.
+The public ``update_g``, ``update_w``, ``update_o`` and ``update_multipliers``
+take a dense O and a ``SolverState``: the dense reference for the loop's tests.
 
-Ablation variants: ``ablation-a`` keeps the nuclear-norm pressure but applies
-it directly to the prediction W X' (no auxiliary task); it is the same loop
-with O held at the identity and the O-step skipped.  ``ablation-b`` is plain
-ridge regression.
+Ablation variants: ``ablation-a`` is the same loop with O held at the
+identity and no O-step, so the nuclear norm falls on the prediction W X'
+itself (no auxiliary task); ``ablation-b`` is plain ridge regression.
 """
 from __future__ import annotations
 
@@ -45,7 +40,7 @@ from typing import List, Optional, Union
 import numpy as np
 
 from .degrade import degrade
-from .errors import ShapeMismatch, SingularSystem, SvdFailure
+from .errors import NonFiniteIterate, ShapeMismatch, SingularSystem, SvdFailure
 from .types import (
     FeatureMatrix,
     Hyperparams,
@@ -221,11 +216,11 @@ def update_multipliers(
     )
 
 
-def _objective(W, P, PO, D, alpha, lam, L=None, U=None, K=None) -> float:
-    """Objective of the loop at P = W X' and PO = P O; the O terms, with
-    O = U K, apply only when L is given."""
+def _objective(W, P, N, D, alpha, lam, L=None, U=None, K=None) -> float:
+    """Objective of the loop at P = W X'; N has P O's singular values (N is
+    (P U) R' when O = U K), and the O terms, O = U K, apply when L is given."""
     value = (0.5 * np.linalg.norm(P - D) ** 2
-             + alpha * np.linalg.svd(PO, compute_uv=False).sum()
+             + alpha * np.linalg.svd(N, compute_uv=False).sum()
              + lam * np.linalg.norm(W) ** 2)
     if L is not None:
         sq_norm_o = (((U.T @ U) @ K) * K).sum()                # ||U K||_F^2
@@ -234,69 +229,67 @@ def _objective(W, P, PO, D, alpha, lam, L=None, U=None, K=None) -> float:
 
 
 def _w_steps(X, D, lam: float):
-    """The ridge start and the W-step of one fit, sharing what does not change.
+    """The ridge start Wv = W V, V, XV = X V and the W-step of one fit, in the
+    eigenbasis of X'X = V diag(s) V', where A = X'X + 2 lam I is diag(a).
 
-    X'X, D X and the eigendecomposition X'X = V diag(s) V' are computed once,
-    so A = X'X + 2 lam I has A^-1 = V diag(1 / (s + 2 lam)) V'.  While O = I
-    the step's matrix (1 + mu) X'X + 2 lam I is diagonal in the same basis.
-    Once O = U K, the Gram mu (X'O)(X'O)' equals F F' with F = sqrt(mu) X'U R'
-    for the thin QR K' = Q R, and the push-through (Woodbury) identity
+    The step maps Wv to the next Wv, and is diagonal while O = I.  Once
+    O = U K, mu (X'O)(X'O)' is F F' with F = sqrt(mu) XV'U R' for the thin QR
+    K' = Q R (not K K', whose entries can be far larger than U K's at small
+    lam), and the push-through (Woodbury) identity
 
         (A + F F')^-1 rhs' = Z - Y (I + F'Y)^-1 F'Z,   Y = A^-1 F, Z = A^-1 rhs',
 
-    leaves one 2m x 2m system per step.  F comes from R rather than from K K',
-    whose entries can be orders of magnitude larger than U K's when lam is small.
-    The step keeps F and Z in the eigenbasis (V'F, and Z'V in W's layout),
-    where applying A^-1 is a division by s + 2 lam.
+    leaves one symmetric 2m x 2m system, solved for m right-hand sides.
     """
-    XtX, DX = X.T @ X, D @ X
-    s, V = _eigh_psd(XtX, lam, "W-step")
+    s, V = _eigh_psd(X.T @ X, lam, "W-step")
     a = s + 2.0 * lam                                       # eigenvalues of A
+    XV, DXV = X @ V, (D @ X) @ V
 
-    def step(U, K, G, multipliers, penalty: float) -> np.ndarray:
+    def step(U, K, R, G, multipliers, penalty: float) -> np.ndarray:
         if U is None:
-            rhs = DX + (penalty * G - multipliers) @ X
-            return ((rhs @ V) / (a + penalty * s)) @ V.T
-        XU = X.T @ U                                        # (d, 2m)
-        rhs = DX + (penalty * G - multipliers) @ (XU @ K).T
-        F = np.sqrt(penalty) * (V.T @ XU) @ np.linalg.qr(K.T, mode="r").T
-        Y, Z = F / a[:, np.newaxis], (rhs @ V) / a
-        core = np.eye(F.shape[1]) + F.T @ Y
-        return (Z - (Z @ F) @ np.linalg.solve(core, Y.T)) @ V.T
+            return (DXV + (penalty * G - multipliers) @ XV) / (a + penalty * s)
+        XVU = XV.T @ U                                      # (d, 2m)
+        Z = (DXV + ((penalty * G - multipliers) @ K.T) @ XVU.T) / a
+        F = np.sqrt(penalty) * XVU @ R.T
+        Y = F / a[:, np.newaxis]
+        core = np.eye(F.shape[1]) + F.T @ Y                 # symmetric
+        return Z - np.linalg.solve(core, (Z @ F).T).T @ Y.T
 
-    return ((DX @ V) / a) @ V.T, step
+    return DXV / a, V, XV, step
 
 
 def _admm(X, D, L, hp: Hyperparams):
-    """The splitting loop on plain arrays: W, P = W X' and PO = P O, with
-    O = U K (U, K None while O = I).  P and PO are formed once per iteration
-    and serve the dual update, the objective and the next G-step.  With L
-    None (ablation-a) O stays I and the O-step is skipped, so the nuclear
-    norm falls on W X' itself.  Returns W, the iterations run, the last
-    relative primal residual, the objective trace and the converged flag.
-    """
-    W, w_step = _w_steps(X, D, hp.lam)
-    PO = W @ X.T
-    U = K = None
+    """The splitting loop on Wv = W V (see :func:`_w_steps`), P = W X' and
+    PO = P O; O = U K, with R of K' = Q R for the next W-step and objective,
+    or I while U, K, R are None (ablation-a: L None).  Raises NonFiniteIterate
+    at the first non-finite primal residual or W change.  Returns W, the
+    iterations run, the last primal residual, the trace and converged."""
+    Wv, V, XV, w_step = _w_steps(X, D, hp.lam)
+    PO = Wv @ XV.T
+    U = K = R = None
     multipliers, penalty = np.zeros(D.shape), hp.mu0
     trace = []
     for it in range(1, hp.max_iters + 1):
         G = svt(PO + multipliers / penalty, hp.alpha / penalty)
-        W_new = w_step(U, K, G, multipliers, penalty)
-        w_change = np.linalg.norm(W_new - W) / max(1.0, np.linalg.norm(W))
-        W = W_new
-        P = PO = W @ X.T
+        Wv_new = w_step(U, K, R, G, multipliers, penalty)
+        w_change = np.linalg.norm(Wv_new - Wv) / max(1.0, np.linalg.norm(Wv))
+        Wv = Wv_new
+        P = PO = N = Wv @ XV.T
         if L is not None:
             U, K = _o_factors(P, D, L, G, multipliers, penalty, hp.lam)
-            PO = (P @ U) @ K
+            R, PU = np.linalg.qr(K.T, mode="r"), P @ U
+            PO, N = PU @ K, PU @ R.T
         residual = G - PO
         primal = float(np.linalg.norm(residual) / max(1.0, np.linalg.norm(G)))
+        if not (np.isfinite(primal) and np.isfinite(w_change)):
+            raise NonFiniteIterate(f"iterate is not finite at iteration {it} (relative"
+                                   f" primal residual {primal:g}, W change {w_change:g})")
         multipliers = multipliers - penalty * residual
         penalty = min(hp.mu_growth * penalty, hp.mu_max)
-        trace.append(_objective(W, P, PO, D, hp.alpha, hp.lam, L, U, K))
+        trace.append(_objective(Wv, P, N, D, hp.alpha, hp.lam, L, U, K))
         if primal <= hp.tol and w_change <= hp.tol:
-            return W, it, primal, trace, True
-    return W, hp.max_iters, primal, trace, False
+            return Wv @ V.T, it, primal, trace, True
+    return Wv @ V.T, hp.max_iters, primal, trace, False
 
 
 def fit(
@@ -337,9 +330,9 @@ def fit(
     Xw, Dw = _design(X.data, scaler, add_bias), D.data
 
     if variant is Variant.ABLATION_B:
-        W, _ = _w_steps(Xw, Dw, hp.lam)
-        P = W @ Xw.T
-        iterations, primal, converged = 0, 0.0, True
+        Wv, V, _, _ = _w_steps(Xw, Dw, hp.lam)
+        W = Wv @ V.T
+        P, iterations, primal, converged = W @ Xw.T, 0, 0.0, True
         trace = [_objective(W, P, P, Dw, 0.0, hp.lam)]
     else:
         L = degrade(D, hp.degradation).data if variant is Variant.FULL else None

@@ -361,6 +361,8 @@ MALFORMED_CSV = {
     "overflow": (CSV.replace(b"0.5,1", b"0.5,1e400"), 2, "non-finite value '1e400' in column 2"),
     "header_only": (b"f1,y1\n", 2, "no data rows"),
     "after_blank_records": (b"f1,y1\n\n , \n0.5,x\n", 4, "non-numeric value 'x' in column 2"),
+    "huge_field": (b"f1,y1\n0.5,1\n" + b"1" * 200_000 + b",1\n", 3,
+                   "field larger than field limit (131072)"),
 }
 
 

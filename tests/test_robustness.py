@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ldlkit import Hyperparams, fit, load_model, save_dataset, save_model, synth_lowrank
-from ldlkit.errors import ShapeMismatch
+from ldlkit.errors import NonFiniteIterate, ShapeMismatch
 from ldlkit.cli import main
 
 
@@ -44,6 +44,19 @@ def test_hyperparams_reject_non_integral_max_iters(value):
 def test_hyperparams_accept_integral_max_iters(value):
     hp = Hyperparams(max_iters=value)
     assert hp.max_iters == 7 and type(hp.max_iters) is int
+
+
+@pytest.mark.parametrize("variant, schedule", [
+    ("full", dict(mu_max=1e300, mu_growth=1e10)),
+    ("full", dict(mu0=1e307, mu_max=1e308, mu_growth=10.0)),
+    ("ablation-a", dict(mu0=1e307, mu_max=1e308, mu_growth=10.0)),
+])
+def test_overflowing_iterate_is_a_typed_error(variant, schedule):
+    ds = synth_lowrank(60, 5, 3, 2, 0.1, seed=0)
+    hp = Hyperparams(alpha=1.0, max_iters=60, **schedule)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NonFiniteIterate, match=r"not finite at iteration \d+ "):
+        fit(ds.X, ds.D, hp, variant)
 
 
 @pytest.fixture()

@@ -445,9 +445,11 @@ def test_full_fit_factors_the_d_by_d_system_a_fixed_number_of_times(monkeypatch,
     # One eigendecomposition of X'X per fit, for the full variant and for
     # ablation-a alike. The only systems solved are the full variant's 2m x 2m
     # O-step (each iteration) and W-step core (each iteration after the first).
+    # Each O-step takes one QR of K', which the next W-step and the objective
+    # share: the objective's nuclear norm is an SVD of the m x 2m (P U) R'.
     d, m = 6, 4
-    decomposed, solved = [], []
-    eigh, solve = np.linalg.eigh, np.linalg.solve
+    decomposed, solved, factored, spectra = [], [], [], []
+    eigh, solve, qr, svd = np.linalg.eigh, np.linalg.solve, np.linalg.qr, np.linalg.svd
 
     def counting_eigh(M, *args, **kwargs):
         decomposed.append(M.shape)
@@ -457,18 +459,33 @@ def test_full_fit_factors_the_d_by_d_system_a_fixed_number_of_times(monkeypatch,
         solved.append(M.shape)
         return solve(M, *args, **kwargs)
 
+    def counting_qr(M, *args, **kwargs):
+        factored.append(M.shape)
+        return qr(M, *args, **kwargs)
+
+    def counting_svd(M, *args, compute_uv=True, **kwargs):
+        if not compute_uv:                 # the objective's, not svt's
+            spectra.append(M.shape)
+        return svd(M, *args, compute_uv=compute_uv, **kwargs)
+
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     monkeypatch.setattr(np.linalg, "solve", counting_solve)
-    ds = synth_lowrank(40, d, m, 2, 0.1, seed=15)
+    monkeypatch.setattr(np.linalg, "qr", counting_qr)
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    n = 40
+    ds = synth_lowrank(n, d, m, 2, 0.1, seed=15)
     hp = Hyperparams(alpha=1.0, max_iters=max_iters, tol=1e-15)
     for variant in ("full", "ablation-a"):
-        decomposed.clear()
-        solved.clear()
+        for calls in (decomposed, solved, factored, spectra):
+            calls.clear()
         res = fit(ds.X, ds.D, hp, variant=variant, standardize_features=False,
                   add_bias=False)
+        full = variant == "full"
         assert res.iterations_run == max_iters
         assert decomposed == [(d, d)]
-        assert solved == [(2 * m, 2 * m)] * (2 * max_iters - 1 if variant == "full" else 0)
+        assert solved == [(2 * m, 2 * m)] * (2 * max_iters - 1 if full else 0)
+        assert factored == [(n, 2 * m)] * (max_iters if full else 0)
+        assert spectra == [(m, 2 * m) if full else (m, n)] * max_iters
 
 
 @pytest.mark.parametrize("variant", ["full", "ablation-a"])
