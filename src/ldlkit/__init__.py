@@ -17,7 +17,6 @@ from .data import (
     load_dataset,
     resolve_data_path,
     save_dataset,
-    standardize,
     subset,
     synth_lowrank,
 )
@@ -40,8 +39,6 @@ from .solver import (
     predict,
     save_model,
     svt,
-    update_g,
-    update_multipliers,
     update_o,
     update_w,
 )
@@ -52,7 +49,6 @@ from .types import (
     LabelDistributionMatrix,
     LdlModel,
     MultiLabelMatrix,
-    SolverState,
     Standardizer,
     ThresholdDegrade,
     TopKDegrade,
@@ -76,7 +72,6 @@ __all__ = [
     "LdlModel",
     "METRIC_NAMES",
     "MultiLabelMatrix",
-    "SolverState",
     "Standardizer",
     "ThresholdDegrade",
     "TopKDegrade",
@@ -99,14 +94,11 @@ __all__ = [
     "resolve_data_path",
     "save_dataset",
     "save_model",
-    "standardize",
     "subset",
     "svt",
     "synth_lowrank",
     "threshold_degrade",
     "topk_degrade",
-    "update_g",
-    "update_multipliers",
     "update_o",
     "update_w",
     "validate_distribution_matrix",

@@ -1,4 +1,4 @@
-"""Dataset ingestion, synthetic generation, standardization and CV splitting.
+"""Dataset ingestion, synthetic generation, subsetting and CV splitting.
 
 Two on-disk formats are supported:
 
@@ -35,7 +35,6 @@ from .errors import LdlError, ParseError, ShapeMismatch
 from .types import (
     FeatureMatrix,
     LabelDistributionMatrix,
-    Standardizer,
     validate_distribution_matrix,
 )
 
@@ -323,19 +322,6 @@ def kfold(n: int, k: int = 10, seed: int = 42) -> FoldPlan:
         assignments[order[start:start + size]] = fold
         start += size
     return FoldPlan(k=k, seed=seed, assignments=assignments)
-
-
-def standardize(
-    X_train: np.ndarray, X_test: Optional[np.ndarray] = None
-) -> Tuple[np.ndarray, Optional[np.ndarray], Standardizer]:
-    """Z-score features using train statistics only; constant features map to 0."""
-    X_train = np.asarray(X_train, dtype=np.float64)
-    mean = X_train.mean(axis=0)
-    std = X_train.std(axis=0)
-    scaler = Standardizer(mean=mean, std=std)
-    out_train = scaler.transform(X_train)
-    out_test = scaler.transform(np.asarray(X_test, dtype=np.float64)) if X_test is not None else None
-    return out_train, out_test, scaler
 
 
 def subset(ds: Dataset, idx: Sequence[int], name: Optional[str] = None) -> Dataset:

@@ -10,7 +10,6 @@ renormalized before taking logs, and true-zero entries contribute 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -68,11 +67,7 @@ def intersection(d, p) -> float:
 
 @dataclass(frozen=True)
 class EvalReport:
-    """Mean scores over a prediction set, one per metric, plus dispersion.
-
-    ``per_instance`` optionally keeps the raw (n, 6) score matrix in
-    ``METRIC_NAMES`` column order.
-    """
+    """Mean scores over a prediction set, one per metric, plus dispersion."""
 
     chebyshev: float
     clark: float
@@ -87,7 +82,6 @@ class EvalReport:
     cosine_std: float
     intersection_std: float
     n_evaluated: int
-    per_instance: Optional[np.ndarray] = None
 
     def mean(self, metric: str) -> float:
         return float(getattr(self, metric))
@@ -117,13 +111,10 @@ def _per_instance_scores(Dt: np.ndarray, Dp: np.ndarray) -> np.ndarray:
     return np.column_stack([cheb, clrk, canb, kld, cos, inter])
 
 
-def evaluate(D_true, D_pred, keep_per_instance: bool = False) -> EvalReport:
+def evaluate(D_true, D_pred) -> EvalReport:
     """Score a prediction matrix against the ground truth, instance by instance,
     and average arithmetically over instances (columns)."""
-    Dt = np.asarray(D_true.data if hasattr(D_true, "data") else D_true, dtype=np.float64)
-    Dp = np.asarray(D_pred.data if hasattr(D_pred, "data") else D_pred, dtype=np.float64)
-    if Dt.shape != Dp.shape:
-        raise DimensionMismatch(f"shape mismatch: {Dt.shape} vs {Dp.shape}")
+    Dt, Dp = _pair(getattr(D_true, "data", D_true), getattr(D_pred, "data", D_pred))
     scores = _per_instance_scores(Dt, Dp)
     means = scores.mean(axis=0)
     stds = scores.std(axis=0)
@@ -131,5 +122,4 @@ def evaluate(D_true, D_pred, keep_per_instance: bool = False) -> EvalReport:
         *(float(v) for v in means),
         *(float(v) for v in stds),
         n_evaluated=Dt.shape[1],
-        per_instance=scores if keep_per_instance else None,
     )

@@ -24,8 +24,8 @@ rank-<=2m term too, and the loop runs in the eigenbasis V of X'X, taken once
 per fit: it carries W V, so each W-step is a diagonal or 2m x 2m solve, no
 iteration takes a d x d product, and W is rotated back once.  numpy suffices.
 
-The public ``update_g``, ``update_w``, ``update_o`` and ``update_multipliers``
-take a dense O and a ``SolverState``: the dense reference for the loop's tests.
+The public ``svt``, ``update_w`` and ``update_o`` are single dense steps at a
+given O, outside the loop: the tests build the loop's dense reference from them.
 
 Ablation variants: ``ablation-a`` is the same loop with O held at the
 identity and no O-step, so the nuclear norm falls on the prediction W X'
@@ -46,7 +46,6 @@ from .types import (
     Hyperparams,
     LabelDistributionMatrix,
     LdlModel,
-    SolverState,
     Standardizer,
     Variant,
     parse_degradation,
@@ -99,14 +98,6 @@ def _eigh_psd(M: np.ndarray, lam: float, what: str):
     return np.maximum(s, 0.0), V
 
 
-def _solve_spd(M: np.ndarray, B: np.ndarray, lam: float, what: str) -> np.ndarray:
-    """Solve (M + 2 lam I) Z = B for symmetric positive semi-definite M."""
-    if not np.isfinite(B).all():
-        raise ValueError(f"{what} system has non-finite entries")
-    s, V = _eigh_psd(M, lam, what)
-    return V @ ((V.T @ B) / (s + 2.0 * lam)[:, np.newaxis])
-
-
 def _o_factors(P, D, L, G, multipliers, penalty, lam):
     """Factors U, K of the O-step minimizer O = U K, given P = W X'.
 
@@ -129,21 +120,6 @@ def _o_factors(P, D, L, G, multipliers, penalty, lam):
         raise SingularSystem("O-step system is numerically singular") from exc
 
 
-def update_g(
-    W: np.ndarray,
-    X: np.ndarray,
-    O: np.ndarray,
-    multipliers: np.ndarray,
-    penalty: float,
-    alpha: float,
-) -> np.ndarray:
-    """Auxiliary-variable step: G = svt(W X' O + multipliers / penalty, alpha / penalty)."""
-    if penalty <= 0:
-        raise ValueError(f"penalty must be positive, got {penalty}")
-    target = W @ X.T @ O + multipliers / penalty
-    return svt(target, alpha / penalty)
-
-
 def update_w(
     X: np.ndarray,
     D: np.ndarray,
@@ -164,7 +140,10 @@ def update_w(
     XO = X.T @ O                      # (d, n)
     M = X.T @ X + penalty * (XO @ XO.T)
     rhs = D @ X + (penalty * G - multipliers) @ XO.T
-    return _solve_spd(M, rhs.T, lam, "W-step").T
+    if not np.isfinite(rhs).all():
+        raise ValueError("W-step system has non-finite entries")
+    s, V = _eigh_psd(M, lam, "W-step")
+    return (V @ ((V.T @ rhs.T) / (s + 2.0 * lam)[:, np.newaxis])).T
 
 
 def update_o(
@@ -188,32 +167,6 @@ def update_o(
     """
     U, K = _o_factors(W @ X.T, D, L, G, multipliers, penalty, lam)
     return U @ K
-
-
-def update_multipliers(
-    state: SolverState,
-    W: np.ndarray,
-    X: np.ndarray,
-    O: np.ndarray,
-    mu_growth: float = 1.1,
-    mu_max: float = 1e6,
-) -> SolverState:
-    """Dual ascent on the coupling constraint plus the penalty schedule.
-
-    The residual G - W X' O is removed from the running multipliers (the dual
-    estimate enters the augmented objective with a negative sign), the penalty
-    is grown by ``mu_growth`` and capped at ``mu_max``, and the relative primal
-    residual ||G - W X' O||_F / max(1, ||G||_F) is recorded.
-    """
-    residual = state.aux - W @ X.T @ O
-    rel = float(np.linalg.norm(residual) / max(1.0, np.linalg.norm(state.aux)))
-    return SolverState(
-        aux=state.aux,
-        multipliers=state.multipliers - state.penalty * residual,
-        penalty=min(mu_growth * state.penalty, mu_max),
-        iteration=state.iteration + 1,
-        primal_residual=rel,
-    )
 
 
 def _objective(W, P, N, D, alpha, lam, L=None, U=None, K=None) -> float:
@@ -269,26 +222,29 @@ def _admm(X, D, L, hp: Hyperparams):
     U = K = R = None
     multipliers, penalty = np.zeros(D.shape), hp.mu0
     trace = []
-    for it in range(1, hp.max_iters + 1):
-        G = svt(PO + multipliers / penalty, hp.alpha / penalty)
-        Wv_new = w_step(U, K, R, G, multipliers, penalty)
-        w_change = np.linalg.norm(Wv_new - Wv) / max(1.0, np.linalg.norm(Wv))
-        Wv = Wv_new
-        P = PO = N = Wv @ XV.T
-        if L is not None:
-            U, K = _o_factors(P, D, L, G, multipliers, penalty, hp.lam)
-            R, PU = np.linalg.qr(K.T, mode="r"), P @ U
-            PO, N = PU @ K, PU @ R.T
-        residual = G - PO
-        primal = float(np.linalg.norm(residual) / max(1.0, np.linalg.norm(G)))
-        if not (np.isfinite(primal) and np.isfinite(w_change)):
-            raise NonFiniteIterate(f"iterate is not finite at iteration {it} (relative"
-                                   f" primal residual {primal:g}, W change {w_change:g})")
-        multipliers = multipliers - penalty * residual
-        penalty = min(hp.mu_growth * penalty, hp.mu_max)
-        trace.append(_objective(Wv, P, N, D, hp.alpha, hp.lam, L, U, K))
-        if primal <= hp.tol and w_change <= hp.tol:
-            return Wv @ V.T, it, primal, trace, True
+    # An overflowing iterate is reported once, as NonFiniteIterate, not as
+    # numpy warnings from the steps before the check.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(1, hp.max_iters + 1):
+            G = svt(PO + multipliers / penalty, hp.alpha / penalty)
+            Wv_new = w_step(U, K, R, G, multipliers, penalty)
+            w_change = np.linalg.norm(Wv_new - Wv) / max(1.0, np.linalg.norm(Wv))
+            Wv = Wv_new
+            P = PO = N = Wv @ XV.T
+            if L is not None:
+                U, K = _o_factors(P, D, L, G, multipliers, penalty, hp.lam)
+                R, PU = np.linalg.qr(K.T, mode="r"), P @ U
+                PO, N = PU @ K, PU @ R.T
+            residual = G - PO
+            primal = float(np.linalg.norm(residual) / max(1.0, np.linalg.norm(G)))
+            if not (np.isfinite(primal) and np.isfinite(w_change)):
+                raise NonFiniteIterate(f"iterate is not finite at iteration {it} (relative"
+                                       f" primal residual {primal:g}, W change {w_change:g})")
+            multipliers = multipliers - penalty * residual
+            penalty = min(hp.mu_growth * penalty, hp.mu_max)
+            trace.append(_objective(Wv, P, N, D, hp.alpha, hp.lam, L, U, K))
+            if primal <= hp.tol and w_change <= hp.tol:
+                return Wv @ V.T, it, primal, trace, True
     return Wv @ V.T, hp.max_iters, primal, trace, False
 
 

@@ -291,20 +291,3 @@ class LdlModel:
     def d_in(self) -> int:
         """Feature dimension expected at predict time (before bias augmentation)."""
         return self.W.shape[1] - (1 if self.bias else 0)
-
-
-@dataclass
-class SolverState:
-    """State of the public, dense solver steps.
-
-    ``aux`` is the low-rank auxiliary matrix, ``multipliers`` the running dual
-    estimate, ``penalty`` the quadratic-coupling weight (non-decreasing, capped
-    at ``mu_max``).  ``fit``'s loop carries these as plain arrays; the public
-    steps and this state are the dense reference it is tested against.
-    """
-
-    aux: np.ndarray
-    multipliers: np.ndarray
-    penalty: float
-    iteration: int = 0
-    primal_residual: float = np.inf

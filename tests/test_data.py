@@ -9,11 +9,12 @@ from ldlkit import (
     FeatureMatrix,
     FileFormat,
     LabelDistributionMatrix,
+    fit,
     kfold,
     load_dataset,
+    predict,
     resolve_data_path,
     save_dataset,
-    standardize,
     subset,
     synth_lowrank,
 )
@@ -169,23 +170,39 @@ def test_kfold_rejects_small_n():
         kfold(10, 1)
 
 
+def simplex_projection(raw):
+    """predict's clamp-and-renormalize, for score columns with a positive entry."""
+    raw = np.maximum(raw, 0.0)
+    return raw / raw.sum(axis=0)
+
+
 def test_standardize_train_statistics():
     rng = np.random.default_rng(13)
     Xtr = rng.normal(3.0, 2.5, size=(200, 4))
     Xte = rng.normal(3.0, 2.5, size=(50, 4))
-    out_tr, out_te, scaler = standardize(Xtr, Xte)
+    D = rng.dirichlet(np.ones(3), size=200).T
+    model = fit(Xtr, D).model
+    np.testing.assert_array_equal(model.standardizer.mean, Xtr.mean(0))
+    np.testing.assert_array_equal(model.standardizer.std, Xtr.std(0))
+    out_tr = model.standardizer.transform(Xtr)
     assert np.abs(out_tr.mean(axis=0)).max() <= 1e-10
     assert np.abs(out_tr.std(axis=0) - 1.0).max() <= 1e-10
-    # test transform uses train statistics, not its own
-    np.testing.assert_allclose(out_te, (Xte - Xtr.mean(0)) / Xtr.std(0))
+    # test rows are scaled with the train statistics, not their own
+    Z = np.hstack([(Xte - Xtr.mean(0)) / Xtr.std(0), np.ones((50, 1))])
+    np.testing.assert_allclose(predict(model, Xte), simplex_projection(model.W @ Z.T),
+                               rtol=1e-12, atol=1e-15)
 
 
 def test_standardize_constant_feature():
+    rng = np.random.default_rng(14)
     Xtr = np.column_stack([np.arange(10.0), np.full(10, 7.0)])
-    Xte = np.column_stack([np.arange(4.0), np.full(4, 7.0)])
-    out_tr, out_te, _ = standardize(Xtr, Xte)
-    assert (out_tr[:, 1] == 0).all()
-    assert (out_te[:, 1] == 0).all()
+    Xte = np.column_stack([np.arange(4.0), [7.0, -50.0, 1e6, 7.5]])
+    model = fit(Xtr, rng.dirichlet(np.ones(3), size=10).T).model
+    assert (model.standardizer.transform(Xte)[:, 1] == 0).all()
+    Z = np.column_stack([(Xte[:, 0] - Xtr[:, 0].mean()) / Xtr[:, 0].std(), np.zeros(4),
+                         np.ones(4)])
+    np.testing.assert_allclose(predict(model, Xte), simplex_projection(model.W @ Z.T),
+                               rtol=1e-12, atol=1e-15)
 
 
 def test_resolve_data_path_env(tmp_path, monkeypatch):

@@ -178,12 +178,3 @@ def test_evaluate_two_instances_is_midpoint():
     rep = evaluate(np.column_stack([d1, d2]), np.column_stack([p1, p2]))
     assert rep.kl == pytest.approx((kl_divergence(d1, p1) + kl_divergence(d2, p2)) / 2)
     assert rep.chebyshev == pytest.approx((chebyshev(d1, p1) + chebyshev(d2, p2)) / 2)
-
-
-def test_evaluate_per_instance_matrix():
-    rng = np.random.default_rng(8)
-    D = rng.dirichlet(np.ones(4), size=10).T
-    P = rng.dirichlet(np.ones(4), size=10).T
-    rep = evaluate(D, P, keep_per_instance=True)
-    assert rep.per_instance.shape == (10, 6)
-    assert rep.per_instance[:, 0].mean() == pytest.approx(rep.chebyshev)

@@ -1,5 +1,6 @@
 """Bad input fails early with an error that names the culprit."""
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -54,8 +55,9 @@ def test_hyperparams_accept_integral_max_iters(value):
 def test_overflowing_iterate_is_a_typed_error(variant, schedule):
     ds = synth_lowrank(60, 5, 3, 2, 0.1, seed=0)
     hp = Hyperparams(alpha=1.0, max_iters=60, **schedule)
-    with np.errstate(over="ignore", invalid="ignore"), \
+    with warnings.catch_warnings(), \
             pytest.raises(NonFiniteIterate, match=r"not finite at iteration \d+ "):
+        warnings.simplefilter("error")              # the typed error is the only report
         fit(ds.X, ds.D, hp, variant)
 
 

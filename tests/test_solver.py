@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -5,7 +7,6 @@ import scipy.linalg
 from ldlkit import (
     Hyperparams,
     LdlModel,
-    SolverState,
     ThresholdDegrade,
     Variant,
     degrade,
@@ -17,13 +18,10 @@ from ldlkit import (
     svt,
     synth_lowrank,
     threshold_degrade,
-    update_g,
-    update_multipliers,
     update_o,
     update_w,
 )
 from ldlkit.errors import DimensionMismatch, SingularSystem
-from ldlkit.solver import _solve_spd
 
 
 def svt_oracle(A, tau):
@@ -343,40 +341,89 @@ def test_singular_system_raised_for_full_variant_without_ridge():
 
 
 def w_step_system(d, seed, n=213, m=6):
-    """A W-step-shaped system: the Gram M = X'X and B = rhs'."""
+    """Features X (n, d) and a label matrix D (m, n) for a W-step system."""
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n, d))
-    return X.T @ X, rng.standard_normal((m, d)).T
+    return X, rng.standard_normal((m, n))
+
+
+def ridge_w_step(X, D, lam):
+    """update_w with O = 0 and penalty 0: W = D X (X'X + 2 lam I)^-1."""
+    n, m = X.shape[0], D.shape[0]
+    zeros = np.zeros((m, n))
+    return update_w(X, D, np.zeros((n, n)), zeros, zeros, penalty=0.0, lam=lam)
 
 
 @pytest.mark.parametrize("d", [1, 21, 51, 244])
 def test_solve_spd_agrees_with_scipy_solve(d):
-    # cond(M + 0.2 I) is at most 4.5e3 here (at d=244 > n, X'X is singular),
+    # cond(X'X + 0.2 I) is at most 4.5e3 here (at d=244 > n, X'X is singular),
     # so two backward-stable solves agree to about cond * eps ~ 1e-12.
-    M, B = w_step_system(d, seed=d)
-    Z = _solve_spd(M, B, 0.1, "W-step")
-    ref = scipy.linalg.solve(M + 0.2 * np.eye(d), B, assume_a="pos")
-    assert np.linalg.norm(Z - ref) <= 1e-11 * np.linalg.norm(ref)
+    X, D = w_step_system(d, seed=d)
+    W = ridge_w_step(X, D, 0.1)
+    ref = scipy.linalg.solve(X.T @ X + 0.2 * np.eye(d), (D @ X).T, assume_a="pos").T
+    assert np.linalg.norm(W - ref) <= 1e-11 * np.linalg.norm(ref)
 
 
-@pytest.mark.parametrize("where", ["M", "B"])
+@pytest.mark.parametrize("where", ["M", "B", "X"])
 def test_solve_spd_rejects_non_finite_system_before_factoring(monkeypatch, where):
+    # M: X'X overflows while D X stays finite; B: D X is NaN through D;
+    # X: both are NaN through X.
     def no_factoring(*args, **kwargs):
         raise AssertionError("decomposed a non-finite system")
 
     monkeypatch.setattr(np.linalg, "eigh", no_factoring)
-    M, B = w_step_system(21, seed=3)
-    (M if where == "M" else B)[2, 1] = np.nan
-    with pytest.raises(ValueError, match="W-step system has non-finite entries"):
-        _solve_spd(M, B, 0.1, "W-step")
+    X, D = w_step_system(21, seed=3)
+    (D if where == "B" else X)[2, 1] = 1e200 if where == "M" else np.nan
+    with np.errstate(over="ignore"), \
+            pytest.raises(ValueError, match="W-step system has non-finite entries"):
+        ridge_w_step(X, D, 0.1)
 
 
 def test_solve_spd_without_ridge_on_rank_deficient_system_is_singular():
     rng = np.random.default_rng(4)
     X = rng.standard_normal((20, 8))
-    X[:, 3] = 0.0                                   # an all-zero feature: M[3, 3] = 0
+    X[:, 3] = 0.0                                   # an all-zero feature: X'X[3, 3] = 0
     with pytest.raises(SingularSystem, match="W-step system is rank-deficient"):
-        _solve_spd(X.T @ X, rng.standard_normal((8, 3)), 0.0, "W-step")
+        ridge_w_step(X, rng.standard_normal((3, 20)), 0.0)
+
+
+@dataclass
+class SolverState:
+    """State of the dense reference loop: the auxiliary matrix, the running
+    dual estimate, the coupling penalty (non-decreasing, capped at ``mu_max``),
+    the iterations run and the last relative primal residual."""
+
+    aux: np.ndarray
+    multipliers: np.ndarray
+    penalty: float
+    iteration: int = 0
+    primal_residual: float = np.inf
+
+
+def update_g(W, X, O, multipliers, penalty, alpha):
+    """Auxiliary-variable step: G = svt(W X' O + multipliers / penalty, alpha / penalty)."""
+    if penalty <= 0:
+        raise ValueError(f"penalty must be positive, got {penalty}")
+    return svt(W @ X.T @ O + multipliers / penalty, alpha / penalty)
+
+
+def update_multipliers(state, W, X, O, mu_growth=1.1, mu_max=1e6):
+    """Dual ascent on the coupling constraint plus the penalty schedule.
+
+    The residual G - W X' O is removed from the running multipliers (the dual
+    estimate enters the augmented objective with a negative sign), the penalty
+    is grown by ``mu_growth`` and capped at ``mu_max``, and the relative primal
+    residual ||G - W X' O||_F / max(1, ||G||_F) is recorded.
+    """
+    residual = state.aux - W @ X.T @ O
+    rel = float(np.linalg.norm(residual) / max(1.0, np.linalg.norm(state.aux)))
+    return SolverState(
+        aux=state.aux,
+        multipliers=state.multipliers - state.penalty * residual,
+        penalty=min(mu_growth * state.penalty, mu_max),
+        iteration=state.iteration + 1,
+        primal_residual=rel,
+    )
 
 
 def documented_objective(W, X, D, O, L, hp, full):
@@ -391,8 +438,9 @@ def documented_objective(W, X, D, O, L, hp, full):
 
 
 def dense_reference_fit(X, D, hp, full):
-    """The splitting loop written from the dense public steps, O starting at I,
-    with the documented objective after each iteration.
+    """The splitting loop written from dense steps (the public svt, update_w and
+    update_o, and this file's update_g and update_multipliers), O starting at
+    I, with the documented objective after each iteration.
 
     For ablation-a the O-step is skipped, so O stays the identity."""
     n = X.shape[0]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import ldlkit
 from ldlkit import (
     FeatureMatrix,
     Hyperparams,
@@ -123,3 +124,14 @@ def test_standardizer_zero_variance_maps_to_zero():
     np.testing.assert_array_equal(out[:, 1], [0.0, 0.0])
     vec = sc.transform(np.array([3.0, 9.0]))
     np.testing.assert_allclose(vec, [1.0, 0.0])
+
+
+def test_every_exported_name_resolves_and_removed_names_are_gone():
+    for name in ldlkit.__all__:
+        assert hasattr(ldlkit, name), name
+    removed = {"solver": ("update_g", "update_multipliers"), "types": ("SolverState",),
+               "data": ("standardize",)}
+    for module, names in removed.items():
+        for name in names:
+            assert not hasattr(ldlkit, name), name
+            assert not hasattr(getattr(ldlkit, module), name), f"{module}.{name}"
