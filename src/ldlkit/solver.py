@@ -24,6 +24,12 @@ rank-<=2m term too, and the loop runs in the eigenbasis V of X'X, taken once
 per fit: it carries W V, so each W-step is a diagonal or 2m x 2m solve, no
 iteration takes a d x d product, and W is rotated back once.  numpy suffices.
 
+Every instance-indexed object of the loop lies in the span of [X, D', L'], of
+width b <= d + 2m (d + m for ablation-a, which has no L).  So when b < n,
+``fit`` takes R of one thin QR [X, D', L'] = Q R and runs the loop on R's
+column blocks in place of X, D' and L': no iteration touches an n-length
+vector, and Q is never formed.  When b >= n the loop runs on the instances.
+
 The public ``svt``, ``update_w`` and ``update_o`` are single dense steps at a
 given O, outside the loop: the tests build the loop's dense reference from them.
 
@@ -248,6 +254,17 @@ def _admm(X, D, L, hp: Hyperparams):
     return Wv @ V.T, hp.max_iters, primal, trace, False
 
 
+def _instance_basis(X, D, L):
+    """X, D and L (if given) as the column blocks of R in the thin QR
+    [X, D', L'] = Q R when its width b is below n, else as they are.  The loop
+    only contracts over instances, and R'R = [X, D', L']'[X, D', L']."""
+    (n, d), m = X.shape, D.shape[0]
+    if d + (m if L is None else 2 * m) >= n:
+        return X, D, L
+    R = np.linalg.qr(np.hstack([X, D.T] if L is None else [X, D.T, L.T]), mode="r")
+    return R[:, :d], R[:, d:d + m].T, None if L is None else R[:, d + m:].T
+
+
 def fit(
     X,
     D,
@@ -292,7 +309,7 @@ def fit(
         trace = [_objective(W, P, P, Dw, 0.0, hp.lam)]
     else:
         L = degrade(D, hp.degradation).data if variant is Variant.FULL else None
-        W, iterations, primal, trace, converged = _admm(Xw, Dw, L, hp)
+        W, iterations, primal, trace, converged = _admm(*_instance_basis(Xw, Dw, L), hp)
     model = LdlModel(W=W, variant=variant, hyperparams=hp,
                      standardizer=scaler, bias=add_bias)
     return FitResult(model, iterations, primal, trace, converged)
@@ -360,18 +377,19 @@ def load_model(path) -> LdlModel:
     whose entries are missing, unreadable or invalid; ShapeMismatch for a W
     whose width disagrees with the standardizer and the bias flag.
     """
-    try:
-        archive = np.load(path, allow_pickle=False)
-    except (ValueError, EOFError, zipfile.BadZipFile):
-        archive = None
-    if not isinstance(archive, np.lib.npyio.NpzFile):
-        raise ValueError(f"{path} is not an ldlkit model file")
-    try:
-        with archive as z:
-            return _model_from_archive(z)
-    except (ValueError, ShapeMismatch) as exc:
-        exc.args = (f"{path}: {exc}",)
-        raise
+    with open(path, "rb") as fh:
+        try:
+            archive = np.load(fh, allow_pickle=False)
+        except (ValueError, EOFError, zipfile.BadZipFile):
+            archive = None
+        if not isinstance(archive, np.lib.npyio.NpzFile):
+            raise ValueError(f"{path} is not an ldlkit model file")
+        try:
+            with archive as z:
+                return _model_from_archive(z)
+        except (ValueError, ShapeMismatch) as exc:
+            exc.args = (f"{path}: {exc}",)
+            raise
 
 
 def _model_from_archive(z) -> LdlModel:

@@ -15,6 +15,7 @@ from ldlkit import (
     load_model,
     predict,
     save_model,
+    solver,
     svt,
     synth_lowrank,
     threshold_degrade,
@@ -493,8 +494,12 @@ def test_full_fit_factors_the_d_by_d_system_a_fixed_number_of_times(monkeypatch,
     # One eigendecomposition of X'X per fit, for the full variant and for
     # ablation-a alike. The only systems solved are the full variant's 2m x 2m
     # O-step (each iteration) and W-step core (each iteration after the first).
-    # Each O-step takes one QR of K', which the next W-step and the objective
-    # share: the objective's nuclear norm is an SVD of the m x 2m (P U) R'.
+    # When the width b of [X, D', L'] (ablation-a: [X, D']) is below n, the fit
+    # takes R of its thin QR once and the loop runs on R's b rows; at n <= b it
+    # runs on the n instances. Each O-step takes one QR of K' (width b or n),
+    # which the next W-step and the objective share: the objective's nuclear
+    # norm is an SVD of the m x 2m (P U) R', or of the m x b (or m x n) P for
+    # ablation-a. Every QR is R-only, so no Q is formed.
     d, m = 6, 4
     decomposed, solved, factored, spectra = [], [], [], []
     eigh, solve, qr, svd = np.linalg.eigh, np.linalg.solve, np.linalg.qr, np.linalg.svd
@@ -507,9 +512,9 @@ def test_full_fit_factors_the_d_by_d_system_a_fixed_number_of_times(monkeypatch,
         solved.append(M.shape)
         return solve(M, *args, **kwargs)
 
-    def counting_qr(M, *args, **kwargs):
-        factored.append(M.shape)
-        return qr(M, *args, **kwargs)
+    def counting_qr(M, mode="reduced"):
+        factored.append((M.shape, mode))
+        return qr(M, mode=mode)
 
     def counting_svd(M, *args, compute_uv=True, **kwargs):
         if not compute_uv:                 # the objective's, not svt's
@@ -520,20 +525,70 @@ def test_full_fit_factors_the_d_by_d_system_a_fixed_number_of_times(monkeypatch,
     monkeypatch.setattr(np.linalg, "solve", counting_solve)
     monkeypatch.setattr(np.linalg, "qr", counting_qr)
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    n = 40
-    ds = synth_lowrank(n, d, m, 2, 0.1, seed=15)
     hp = Hyperparams(alpha=1.0, max_iters=max_iters, tol=1e-15)
-    for variant in ("full", "ablation-a"):
-        for calls in (decomposed, solved, factored, spectra):
-            calls.clear()
-        res = fit(ds.X, ds.D, hp, variant=variant, standardize_features=False,
-                  add_bias=False)
-        full = variant == "full"
-        assert res.iterations_run == max_iters
-        assert decomposed == [(d, d)]
-        assert solved == [(2 * m, 2 * m)] * (2 * max_iters - 1 if full else 0)
-        assert factored == [(n, 2 * m)] * (max_iters if full else 0)
-        assert spectra == [(m, 2 * m) if full else (m, n)] * max_iters
+    for n in (40, 10):                     # b is 14 (full) and 10 (ablation-a)
+        ds = synth_lowrank(n, d, m, 2, 0.1, seed=15)
+        for variant in ("full", "ablation-a"):
+            for calls in (decomposed, solved, factored, spectra):
+                calls.clear()
+            res = fit(ds.X, ds.D, hp, variant=variant, standardize_features=False,
+                      add_bias=False)
+            full = variant == "full"
+            b = d + (2 * m if full else m)
+            rows = min(n, b)               # the loop's instance axis
+            assert res.iterations_run == max_iters
+            assert decomposed == [(d, d)]
+            assert solved == [(2 * m, 2 * m)] * (2 * max_iters - 1 if full else 0)
+            assert factored == ([((n, b), "r")] if n > b else []) + \
+                [((rows, 2 * m), "r")] * (max_iters if full else 0)
+            assert spectra == [(m, 2 * m) if full else (m, rows)] * max_iters
+
+
+@pytest.mark.parametrize("variant", ["full", "ablation-a"])
+@pytest.mark.parametrize("extra", [-1, 0, 1, 189])     # n - b; at n <= b, no QR
+@pytest.mark.parametrize("alpha", [0.1, 1.0])
+@pytest.mark.parametrize("lam", [0.1, 0.01])
+def test_fit_on_the_instance_basis_matches_the_loop_on_all_instances(variant, extra,
+                                                                     alpha, lam):
+    # fit runs the loop on R of [X, D', L'] = Q R when b < n; the loop on the
+    # n instances themselves gives the same iterates up to round-off.
+    d, m = 5, 3
+    full = variant == "full"
+    n = d + (2 * m if full else m) + extra
+    ds = synth_lowrank(n, d, m, 2, 0.1, seed=n)
+    hp = Hyperparams(alpha=alpha, lam=lam)
+    L = degrade(ds.D, hp.degradation).data if full else None
+    W, iterations, primal, trace, converged = solver._admm(ds.X.data, ds.D.data, L, hp)
+    res = fit(ds.X, ds.D, hp, variant=variant, standardize_features=False, add_bias=False)
+    assert (res.iterations_run, res.converged) == (iterations, converged)
+    np.testing.assert_allclose(res.model.W, W, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(res.objective_trace, trace, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(res.final_primal_residual, primal, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("variant", ["full", "ablation-a"])
+def test_fit_without_ridge_on_a_duplicated_feature_is_singular(variant):
+    # n = 40 is above b = 6 + 2m (full) or 6 + m (ablation-a), so the W-step's
+    # rank check sees R's X block, which repeats the duplicated column.
+    rng = np.random.default_rng(21)
+    X = rng.standard_normal((40, 6))
+    X[:, 5] = X[:, 2]
+    D = rng.dirichlet(np.ones(3), size=40).T
+    with pytest.raises(SingularSystem, match="W-step system is rank-deficient"):
+        fit(X, D, Hyperparams(lam=0.0), variant=variant,
+            standardize_features=False, add_bias=False)
+
+
+@pytest.mark.parametrize("n", [40, 10])
+def test_full_fit_without_ridge_has_a_singular_o_step(n):
+    # At n = 40 the O-step works on b = d + 2m = 10 rows; at n = 10 = b, on the
+    # instances. Either way its 2 lam I + rank-<=2m matrix is singular, 2m < b.
+    rng = np.random.default_rng(22)
+    X = rng.standard_normal((n, 4))
+    D = rng.dirichlet(np.ones(3), size=n).T
+    with pytest.raises(SingularSystem, match="O-step system is rank-deficient"):
+        fit(X, D, Hyperparams(lam=0.0), variant="full",
+            standardize_features=False, add_bias=False)
 
 
 @pytest.mark.parametrize("variant", ["full", "ablation-a"])
