@@ -21,12 +21,13 @@ from .degrade import degrade
 from .errors import LdlError
 from .metrics import METRIC_NAMES, EvalReport, evaluate
 from .report import ResultRow, render, render_counts, report_rows
-from .solver import fit, load_model, predict, save_model
+from .solver import _fit_split, fit, load_model, predict, save_model
 from .types import Hyperparams, Variant, parse_degradation
 
 PARAM_GRID_DEFAULT = (0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 10.0)
 
 Split = Tuple[np.ndarray, np.ndarray]
+Run = Tuple[Variant, Hyperparams]
 
 
 def _add_hp_flags(p: argparse.ArgumentParser) -> None:
@@ -76,15 +77,17 @@ def _splits(n: int, folds: int, seed: int, holdout: Optional[float] = None) -> L
     return [plan.split(f) for f in range(plan.k)]
 
 
-def _fold_reports(ds, splits: Sequence[Split], variant: Variant, hp: Hyperparams,
-                  fit_kwargs: dict, tune=None) -> List[EvalReport]:
-    """Each split's test-set scores; ``tune(train, variant, hp)`` picks each
-    split's hyperparameters from its training part."""
-    reports = []
+def _fold_reports(ds, splits: Sequence[Split], runs: Sequence[Run], fit_kwargs: dict,
+                  tune=None) -> List[List[EvalReport]]:
+    """Each run's test-set scores on each split.  A split's runs are fit
+    together on its training part, which they share; ``tune(train, runs)``
+    picks the runs' hyperparameters from that training part."""
+    reports: List[List[EvalReport]] = [[] for _ in runs]
     for train, test in splits:
-        hp_used = tune(train, variant, hp) if tune else hp
-        res = fit(ds.X.data[train], ds.D.data[:, train], hp_used, variant, **fit_kwargs)
-        reports.append(evaluate(ds.D.data[:, test], predict(res.model, ds.X.data[test])))
+        results = _fit_split(ds.X.data[train], ds.D.data[:, train],
+                             tune(train, runs) if tune else runs, **fit_kwargs)
+        for run_reports, res in zip(reports, results):
+            run_reports.append(evaluate(ds.D.data[:, test], predict(res.model, ds.X.data[test])))
     return reports
 
 
@@ -92,8 +95,9 @@ def _rows(ds, runs, splits: Sequence[Split], fit_kwargs: dict, tune=None) -> Lis
     """Mean±std rows over the splits for each (tag, variant, hp) run; with a
     single split the std is over its test instances."""
     rows: List[ResultRow] = []
-    for tag, variant, hp in runs:
-        reports = _fold_reports(ds, splits, variant, hp, fit_kwargs, tune)
+    all_reports = _fold_reports(ds, splits, [(variant, hp) for _, variant, hp in runs],
+                                fit_kwargs, tune)
+    for (tag, _, _), reports in zip(runs, all_reports):
         for name in METRIC_NAMES:
             means = np.array([rep.mean(name) for rep in reports])
             std = reports[0].std(name) if len(reports) == 1 else np.std(means)
@@ -185,15 +189,19 @@ def cmd_cv(args) -> int:
     if args.grid:
         grid = _parse_grid(args.grid)
 
-        def tune(train, variant, hp) -> Hyperparams:
-            """Inner 5-fold search on the training split; the first candidate
-            with the lowest mean KL wins."""
+        def tune(train, runs: Sequence[Run]) -> List[Run]:
+            """Inner 5-fold search on the training split, for each run; the
+            first candidate with the lowest mean KL wins."""
             sub = dio.subset(ds, train)
             inner = _splits(sub.n, 5, args.seed)
-            cands = [replace(hp, alpha=a, lam=l) for a, l in itertools.product(
-                grid.get("alpha", (hp.alpha,)), grid.get("lambda", (hp.lam,)))]
-            return min(cands, key=lambda c: float(np.mean(
-                [rep.kl for rep in _fold_reports(sub, inner, variant, c, fit_kwargs)])))
+            cands = [(variant, replace(hp, alpha=a, lam=l)) for variant, hp in runs
+                     for a, l in itertools.product(grid.get("alpha", (hp.alpha,)),
+                                                   grid.get("lambda", (hp.lam,)))]
+            kl = [np.mean([rep.kl for rep in reports])
+                  for reports in _fold_reports(sub, inner, cands, fit_kwargs)]
+            per_run = len(cands) // len(runs)
+            return [cands[start + int(np.argmin(kl[start:start + per_run]))]
+                    for start in range(0, len(cands), per_run)]
 
     runs = [(v.value, v, hp) for v in variants]
     rows = _rows(ds, runs, _splits(ds.n, args.folds, args.seed), fit_kwargs, tune)

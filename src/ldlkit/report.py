@@ -2,10 +2,14 @@
 
 Long-form rows carry (dataset, variant, metric, mean, std).  The CSV and
 Markdown renderers format every number with 6 significant digits so the two
-views always agree; CSV output is byte-deterministic for fixed inputs.
+views always agree; CSV output is byte-deterministic for fixed inputs.  A
+name holding a comma, quote or line break is quoted in CSV as ``csv.writer``
+quotes it, and a ``|`` is escaped in Markdown cells.
 """
 from __future__ import annotations
 
+import csv
+import io
 from dataclasses import dataclass
 from typing import Iterable, List, Sequence, Tuple
 
@@ -34,10 +38,12 @@ def report_rows(dataset: str, variant: str, report: EvalReport) -> List[ResultRo
 
 
 def render_csv(rows: Iterable[ResultRow]) -> str:
-    lines = ["dataset,variant,metric,mean,std"]
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["dataset", "variant", "metric", "mean", "std"])
     for r in rows:
-        lines.append(f"{r.dataset},{r.variant},{r.metric},{fmt(r.mean)},{fmt(r.std)}")
-    return "\n".join(lines) + "\n"
+        writer.writerow([r.dataset, r.variant, r.metric, fmt(r.mean), fmt(r.std)])
+    return out.getvalue()
 
 
 def render_markdown(rows: Sequence[ResultRow]) -> str:
@@ -56,6 +62,7 @@ def render_markdown(rows: Sequence[ResultRow]) -> str:
     for dataset, variant in keys:
         row = cells[(dataset, variant)]
         body = " | ".join(row.get(name, "") for name in METRIC_NAMES)
+        dataset, variant = (name.replace("|", "\\|") for name in (dataset, variant))
         lines.append(f"| {dataset} | {variant} | {body} |")
     return "\n".join(lines) + "\n"
 

@@ -19,16 +19,20 @@ iterate raises ``NonFiniteIterate``.  Nothing is randomized.
 
 The O-step matrix is 2 lam I plus a rank-<=2m term, so its minimizer is
 exactly O = U K with U = [D' P'] (n x 2m) and K from a 2m x 2m solve; ``fit``
-never builds an n x n array.  The W-step matrix is X'X + 2 lam I plus a
-rank-<=2m term too, and the loop runs in the eigenbasis V of X'X, taken once
-per fit: it carries W V, so each W-step is a diagonal or 2m x 2m solve, no
-iteration takes a d x d product, and W is rotated back once.  numpy suffices.
+never builds an n x n array, nor U: each O-step forms the Gram U'U = Q Q' of
+Q = [D; P] once.  The W-step matrix is X'X + 2 lam I plus a rank-<=2m term
+too, and the loop runs in the eigenbasis V of X'X: it carries W V, so each
+W-step is a diagonal or 2m x 2m solve, no iteration takes a d x d product,
+and W is rotated back once.  numpy suffices.
 
 Every instance-indexed object of the loop lies in the span of [X, D', L'], of
 width b <= d + 2m (d + m for ablation-a, which has no L).  So when b < n,
 ``fit`` takes R of one thin QR [X, D', L'] = Q R and runs the loop on R's
 column blocks in place of X, D' and L': no iteration touches an n-length
-vector, and Q is never formed.  When b >= n the loop runs on the instances.
+vector, and Q is never formed.  When b >= n the loop runs on the instances,
+and all runs on one training split (a cross-validated search) share one
+eigendecomposition of X'X; when b < n, runs of one variant and degradation
+share theirs.  Ablation-b at lam > 0 takes one solve instead.
 
 The public ``svt``, ``update_w`` and ``update_o`` are single dense steps at a
 given O, outside the loop: the tests build the loop's dense reference from them.
@@ -87,41 +91,40 @@ def svt(A: np.ndarray, tau: float) -> np.ndarray:
     return (U * s) @ Vt
 
 
-def _eigh_psd(M: np.ndarray, lam: float, what: str):
+def _eigh_psd(M: np.ndarray, what: str):
     """Eigenvalues s (clipped at 0) and eigenvectors V of symmetric positive
-    semi-definite M, so that (M + 2 lam I)^-1 = V diag(1 / (s + 2 lam)) V'.
-
-    With lam = 0 the system must be nonsingular: s.min() above s.max() d eps,
-    numpy's matrix_rank tolerance.
-    """
+    semi-definite M, so that (M + 2 lam I)^-1 = V diag(1 / (s + 2 lam)) V'."""
     if not np.isfinite(M).all():
         raise ValueError(f"{what} system has non-finite entries")
     s, V = np.linalg.eigh(M)
-    if lam == 0.0 and s[0] <= s[-1] * len(s) * np.finfo(s.dtype).eps:
-        raise SingularSystem(
-            f"{what} system is rank-deficient; a positive lambda is required"
-        )
     return np.maximum(s, 0.0), V
 
 
-def _o_factors(P, D, L, G, multipliers, penalty, lam):
-    """Factors U, K of the O-step minimizer O = U K, given P = W X'.
+def _check_rank(s: np.ndarray, lam: float, what: str) -> None:
+    """At lam = 0, s.min() must exceed s.max() d eps, numpy's matrix_rank tolerance."""
+    if lam == 0.0 and s[0] <= s[-1] * len(s) * np.finfo(s.dtype).eps:
+        raise SingularSystem(f"{what} system is rank-deficient; a positive lambda is required")
 
-    With U = [D' P'] and C = diag(2 I_m, mu I_m), the O-step matrix is
-    U C U' + 2 lam I, and the push-through identity gives
+
+def _o_step(Q, L, G, multipliers, penalty, lam):
+    """The Gram U'U and the factor K of the O-step minimizer O = U K, given
+    Q = U' = [D; P] with P = W X'.
+
+    With C = diag(2 I_m, mu I_m), the O-step matrix is U C U' + 2 lam I, and
+    the push-through identity gives
     K = (2 lam I + C U'U)^-1 [2 L; mu G - multipliers].
     """
-    n, m = P.shape[1], D.shape[0]
-    if lam == 0.0 and n > 2 * m:
+    two_m, n = Q.shape
+    if lam == 0.0 and n > two_m:
         raise SingularSystem(
             "O-step system is rank-deficient; a positive lambda is required"
         )
-    U = np.hstack([D.T, P.T])                             # (n, 2m)
-    c = np.repeat([2.0, penalty], m)
-    M = c[:, np.newaxis] * (U.T @ U) + 2.0 * lam * np.eye(2 * m)
+    UtU = Q @ Q.T                                           # (2m, 2m)
+    c = np.repeat([2.0, penalty], two_m // 2)
+    M = c[:, np.newaxis] * UtU + 2.0 * lam * np.eye(two_m)
     rhs = np.vstack([2.0 * L, penalty * G - multipliers])
     try:
-        return U, np.linalg.solve(M, rhs)
+        return UtU, np.linalg.solve(M, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem("O-step system is numerically singular") from exc
 
@@ -148,7 +151,8 @@ def update_w(
     rhs = D @ X + (penalty * G - multipliers) @ XO.T
     if not np.isfinite(rhs).all():
         raise ValueError("W-step system has non-finite entries")
-    s, V = _eigh_psd(M, lam, "W-step")
+    s, V = _eigh_psd(M, "W-step")
+    _check_rank(s, lam, "W-step")
     return (V @ ((V.T @ rhs.T) / (s + 2.0 * lam)[:, np.newaxis])).T
 
 
@@ -169,63 +173,76 @@ def update_o(
 
         O = (2 D'D + mu P'P + 2 lam I)^-1 (2 D'L + P'(mu G - multipliers)),
 
-    computed through its factors (see :func:`_o_factors`).
+    computed through its factors (see :func:`_o_step`).
     """
-    U, K = _o_factors(W @ X.T, D, L, G, multipliers, penalty, lam)
-    return U @ K
+    Q = np.vstack([D, W @ X.T])
+    _, K = _o_step(Q, L, G, multipliers, penalty, lam)
+    return Q.T @ K
 
 
-def _objective(W, P, N, D, alpha, lam, L=None, U=None, K=None) -> float:
-    """Objective of the loop at P = W X'; N has P O's singular values (N is
-    (P U) R' when O = U K), and the O terms, O = U K, apply when L is given."""
+def _objective(W, P, N, D, alpha, lam, o_terms=0.0) -> float:
+    """Objective of the loop at P = W X'; N has P O's singular values, and
+    ``o_terms`` is ||D O - L||^2 + lam ||O||^2 (0 while O = I)."""
     value = (0.5 * np.linalg.norm(P - D) ** 2
              + alpha * np.linalg.svd(N, compute_uv=False).sum()
              + lam * np.linalg.norm(W) ** 2)
-    if L is not None:
-        sq_norm_o = (((U.T @ U) @ K) * K).sum()                # ||U K||_F^2
-        value += np.linalg.norm((D @ U) @ K - L) ** 2 + lam * sq_norm_o
-    return float(value)
+    return float(value + o_terms)
 
 
-def _w_steps(X, D, lam: float):
-    """The ridge start Wv = W V, V, XV = X V and the W-step of one fit, in the
-    eigenbasis of X'X = V diag(s) V', where A = X'X + 2 lam I is diag(a).
+def _spectrum(X, D):
+    """The lam-free part of a fit's W-steps: s and V of X'X = V diag(s) V'
+    (s clipped at 0), XV = X V and DXV = (D X) V."""
+    s, V = _eigh_psd(X.T @ X, "W-step")
+    return s, V, X @ V, (D @ X) @ V
+
+
+def _w_steps(spectrum, lam: float):
+    """The ridge start Wv = W V and the W-step of one fit, in the eigenbasis
+    of X'X (see :func:`_spectrum`), where A = X'X + 2 lam I is diag(a).
 
     The step maps Wv to the next Wv, and is diagonal while O = I.  Once
-    O = U K, mu (X'O)(X'O)' is F F' with F = sqrt(mu) XV'U R' for the thin QR
-    K' = Q R (not K K', whose entries can be far larger than U K's at small
-    lam), and the push-through (Woodbury) identity
+    O = U K with U = [D' P'] and P = Wv XV', XV'U is [DXV', s Wv'] because
+    XV'XV = diag(s), and mu (X'O)(X'O)' is F F' with F = sqrt(mu) XV'U R' for
+    the thin QR K' = Q R (not K K', whose entries can be far larger than U K's
+    at small lam).  The push-through (Woodbury) identity
 
         (A + F F')^-1 rhs' = Z - Y (I + F'Y)^-1 F'Z,   Y = A^-1 F, Z = A^-1 rhs',
 
     leaves one symmetric 2m x 2m system, solved for m right-hand sides.
     """
-    s, V = _eigh_psd(X.T @ X, lam, "W-step")
+    s, _, XV, DXV = spectrum
+    _check_rank(s, lam, "W-step")
     a = s + 2.0 * lam                                       # eigenvalues of A
-    XV, DXV = X @ V, (D @ X) @ V
 
-    def step(U, K, R, G, multipliers, penalty: float) -> np.ndarray:
-        if U is None:
+    def step(Wv, K, R, G, multipliers, penalty: float) -> np.ndarray:
+        """The next Wv, from the Wv, K and R of the last O-step."""
+        if K is None:
             return (DXV + (penalty * G - multipliers) @ XV) / (a + penalty * s)
-        XVU = XV.T @ U                                      # (d, 2m)
+        XVU = np.vstack([DXV, Wv * s]).T                    # (d, 2m)
         Z = (DXV + ((penalty * G - multipliers) @ K.T) @ XVU.T) / a
         F = np.sqrt(penalty) * XVU @ R.T
         Y = F / a[:, np.newaxis]
         core = np.eye(F.shape[1]) + F.T @ Y                 # symmetric
         return Z - np.linalg.solve(core, (Z @ F).T).T @ Y.T
 
-    return DXV / a, V, XV, step
+    return DXV / a, step
 
 
-def _admm(X, D, L, hp: Hyperparams):
-    """The splitting loop on Wv = W V (see :func:`_w_steps`), P = W X' and
-    PO = P O; O = U K, with R of K' = Q R for the next W-step and objective,
-    or I while U, K, R are None (ablation-a: L None).  Raises NonFiniteIterate
-    at the first non-finite primal residual or W change.  Returns W, the
-    iterations run, the last primal residual, the trace and converged."""
-    Wv, V, XV, w_step = _w_steps(X, D, hp.lam)
+def _admm(X, D, L, hp: Hyperparams, spectrum=None):
+    """The splitting loop on Wv = W V (see :func:`_w_steps`, given X's
+    ``spectrum`` or taking it), P = W X' and PO = P O; O = U K with
+    U = [D' P'], or I while K is None (ablation-a: L None).  T = U'U K holds
+    D O and P O, <T, K> is ||O||^2, and N = (P U) R' for R of K' = Q R has
+    P O's singular values.  Raises NonFiniteIterate at the first non-finite
+    primal residual or W change.  Returns W, the iterations run, the last
+    primal residual, the trace and converged."""
+    if spectrum is None:
+        spectrum = _spectrum(X, D)
+    _, V, XV, _ = spectrum
+    Wv, w_step = _w_steps(spectrum, hp.lam)
+    m = D.shape[0]
     PO = Wv @ XV.T
-    U = K = R = None
+    K = R = None
     multipliers, penalty = np.zeros(D.shape), hp.mu0
     trace = []
     # An overflowing iterate is reported once, as NonFiniteIterate, not as
@@ -233,14 +250,16 @@ def _admm(X, D, L, hp: Hyperparams):
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(1, hp.max_iters + 1):
             G = svt(PO + multipliers / penalty, hp.alpha / penalty)
-            Wv_new = w_step(U, K, R, G, multipliers, penalty)
+            Wv_new = w_step(Wv, K, R, G, multipliers, penalty)
             w_change = np.linalg.norm(Wv_new - Wv) / max(1.0, np.linalg.norm(Wv))
             Wv = Wv_new
             P = PO = N = Wv @ XV.T
+            o_terms = 0.0
             if L is not None:
-                U, K = _o_factors(P, D, L, G, multipliers, penalty, hp.lam)
-                R, PU = np.linalg.qr(K.T, mode="r"), P @ U
-                PO, N = PU @ K, PU @ R.T
+                UtU, K = _o_step(np.vstack([D, P]), L, G, multipliers, penalty, hp.lam)
+                R, T = np.linalg.qr(K.T, mode="r"), UtU @ K
+                PO, N = T[m:], UtU[m:] @ R.T
+                o_terms = np.linalg.norm(T[:m] - L) ** 2 + hp.lam * (T * K).sum()
             residual = G - PO
             primal = float(np.linalg.norm(residual) / max(1.0, np.linalg.norm(G)))
             if not (np.isfinite(primal) and np.isfinite(w_change)):
@@ -248,10 +267,26 @@ def _admm(X, D, L, hp: Hyperparams):
                                        f" primal residual {primal:g}, W change {w_change:g})")
             multipliers = multipliers - penalty * residual
             penalty = min(hp.mu_growth * penalty, hp.mu_max)
-            trace.append(_objective(Wv, P, N, D, hp.alpha, hp.lam, L, U, K))
+            trace.append(_objective(Wv, P, N, D, hp.alpha, hp.lam, o_terms))
             if primal <= hp.tol and w_change <= hp.tol:
                 return Wv @ V.T, it, primal, trace, True
     return Wv @ V.T, hp.max_iters, primal, trace, False
+
+
+def _ridge(X, D, lam: float):
+    """Ridge regression W = D X (X'X + 2 lam I)^-1 (ablation-b): one solve, or
+    the W-steps' ridge start at lam = 0 (whose rank check names a singular
+    X'X) and where lam is too small to lift X'X's null space in floating point."""
+    if lam > 0.0:
+        M = X.T @ X + 2.0 * lam * np.eye(X.shape[1])
+        if not np.isfinite(M).all():
+            raise ValueError("W-step system has non-finite entries")
+        try:
+            return np.linalg.solve(M, (D @ X).T).T
+        except np.linalg.LinAlgError:
+            pass
+    spectrum = _spectrum(X, D)
+    return _w_steps(spectrum, lam)[0] @ spectrum[1].T
 
 
 def _instance_basis(X, D, L):
@@ -287,6 +322,15 @@ def fit(
     Non-convergence within ``hp.max_iters`` is not an error; the result simply
     carries ``converged=False``.
     """
+    return _fit_split(X, D, [(variant, hp or Hyperparams())],
+                      standardize_features, add_bias)[0]
+
+
+def _fit_split(X, D, runs, standardize_features: bool = True,
+               add_bias: bool = True) -> List[FitResult]:
+    """:func:`fit` for each (variant, hp) of ``runs`` on one X and D, bit for
+    bit.  The design, L per degradation, the instance basis and X'X's
+    eigendecomposition per distinct loop input are taken once."""
     if not isinstance(X, FeatureMatrix):
         X = FeatureMatrix(X)
     D = validate_distribution_matrix(D)
@@ -294,25 +338,31 @@ def fit(
         raise ShapeMismatch(
             f"feature matrix has {X.n} instances but distribution matrix has {D.n}"
         )
-    hp = hp or Hyperparams()
-    variant = Variant(variant)
-
     scaler = None
     if standardize_features:
         scaler = Standardizer(mean=X.data.mean(axis=0), std=X.data.std(axis=0))
     Xw, Dw = _design(X.data, scaler, add_bias), D.data
-
-    if variant is Variant.ABLATION_B:
-        Wv, V, _, _ = _w_steps(Xw, Dw, hp.lam)
-        W = Wv @ V.T
-        P, iterations, primal, converged = W @ Xw.T, 0, 0.0, True
-        trace = [_objective(W, P, P, Dw, 0.0, hp.lam)]
-    else:
-        L = degrade(D, hp.degradation).data if variant is Variant.FULL else None
-        W, iterations, primal, trace, converged = _admm(*_instance_basis(Xw, Dw, L), hp)
-    model = LdlModel(W=W, variant=variant, hyperparams=hp,
-                     standardizer=scaler, bias=add_bias)
-    return FitResult(model, iterations, primal, trace, converged)
+    bases, spectra, results = {}, {}, []
+    for variant, hp in runs:
+        variant = Variant(variant)
+        if variant is Variant.ABLATION_B:
+            W = _ridge(Xw, Dw, hp.lam)
+            P, iterations, primal, converged = W @ Xw.T, 0, 0.0, True
+            trace = [_objective(W, P, P, Dw, 0.0, hp.lam)]
+        else:
+            key = (variant, hp.degradation if variant is Variant.FULL else None)
+            if key not in bases:
+                L = degrade(D, hp.degradation).data if variant is Variant.FULL else None
+                bases[key] = _instance_basis(Xw, Dw, L)
+            Xb, Db, Lb = bases[key]
+            shared = "instances" if Xb is Xw else key   # b >= n: one X'X for all
+            if shared not in spectra:
+                spectra[shared] = _spectrum(Xb, Db)
+            W, iterations, primal, trace, converged = _admm(Xb, Db, Lb, hp, spectra[shared])
+        model = LdlModel(W=W, variant=variant, hyperparams=hp,
+                         standardizer=scaler, bias=add_bias)
+        results.append(FitResult(model, iterations, primal, trace, converged))
+    return results
 
 
 def _design(X, scaler: Optional[Standardizer], bias: bool) -> np.ndarray:

@@ -4,8 +4,8 @@ import sys
 import numpy as np
 import pytest
 
-from ldlkit import (Variant, evaluate, fit, load_dataset, load_model, predict,
-                    save_dataset, synth_lowrank)
+from ldlkit import (Dataset, FeatureMatrix, LabelDistributionMatrix, Variant, evaluate,
+                    fit, load_dataset, load_model, predict, save_dataset, synth_lowrank)
 from ldlkit.cli import main
 
 
@@ -259,6 +259,32 @@ def test_sweep_values_skip_empty_entries(capsys, synth_file):
     argv = ("sweep", synth_file, "--param", "alpha", "--folds", "3")
     assert csv_rows(capsys, *argv, "--values", "0.1,,1,") == \
         csv_rows(capsys, *argv, "--values", "0.1,1")
+
+
+def test_grid_tunes_each_variant_as_it_would_alone(capsys, synth_file):
+    # The variants of one outer split are tuned together on its inner splits.
+    argv = ("cv", synth_file, "--folds", "3", "--grid", "alpha=0.01,1;lambda=0.05,0.5")
+    together = csv_rows(capsys, *argv, "--variants", "full,ablation-a,ablation-b")
+    alone = [row for variant in ("full", "ablation-a", "ablation-b")
+             for row in csv_rows(capsys, *argv, "--variants", variant)]
+    assert together == alone
+
+
+def test_lambda_zero_run_beside_a_positive_one_still_fails_alone(tmp_path, capsys):
+    # Each training split has 24 rows and b = 21 + 8 >= 24, so the lambda = 0
+    # run shares the split's eigendecomposition of X'X with the lambda = 0.1
+    # run, and must still find X'X singular: feature 8 repeats feature 3.
+    rng = np.random.default_rng(3)
+    X = rng.standard_normal((30, 20))
+    X[:, 7] = X[:, 2]
+    path = tmp_path / "dup.txt"
+    save_dataset(Dataset("dup", FeatureMatrix(X),
+                         LabelDistributionMatrix(rng.dirichlet(np.ones(4), size=30).T)), path)
+    argv = ("sweep", str(path), "--param", "lambda", "--folds", "5", "--values")
+    assert run(capsys, *argv, "0.1")[0] == 0
+    code, stdout, stderr = run(capsys, *argv, "0.1,0")
+    assert (code, stdout) == (1, "")
+    assert "W-step system is rank-deficient" in stderr
 
 
 def test_holdout_leaving_one_training_instance_is_a_clean_error(capsys, synth_file):

@@ -1,3 +1,7 @@
+import csv
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -34,6 +38,22 @@ def test_csv_layout():
     assert len(lines) == 7
     for line in lines[1:]:
         assert len(line.split(",")) == 5
+
+
+def test_csv_quotes_a_name_holding_a_comma_or_quote():
+    rows = [replace(r, dataset='a,"b"') for r in sample_rows()]
+    lines = render_csv(rows).splitlines()
+    assert lines[1].startswith('"a,""b""",full,chebyshev,')
+    parsed = list(csv.reader(lines))
+    assert [len(fields) for fields in parsed] == [5] * 7
+    assert {fields[0] for fields in parsed[1:]} == {'a,"b"'}
+
+
+def test_markdown_escapes_a_pipe_in_a_name():
+    rows = [replace(r, dataset="a|b", variant="x|y") for r in sample_rows()]
+    line = render_markdown(rows).splitlines()[2]
+    assert line.startswith("| a\\|b | x\\|y | ")
+    assert len(re.split(r"(?<!\\)\|", line)) == 2 + 2 + 6
 
 
 def test_csv_and_markdown_agree_numerically():

@@ -8,12 +8,14 @@ from ldlkit import (
     Hyperparams,
     LdlModel,
     ThresholdDegrade,
+    TopKDegrade,
     Variant,
     degrade,
     evaluate,
     fit,
     load_model,
     predict,
+    save_dataset,
     save_model,
     solver,
     svt,
@@ -22,6 +24,7 @@ from ldlkit import (
     update_o,
     update_w,
 )
+from ldlkit.cli import main
 from ldlkit.errors import DimensionMismatch, SingularSystem
 
 
@@ -489,8 +492,39 @@ def test_fit_matches_dense_reference_loop(variant, shape, lam):
                                rtol=0, atol=1e-12)
 
 
+@pytest.fixture()
+def linalg_calls(monkeypatch):
+    """Shapes seen by numpy.linalg's eigh, solve, QR (with its mode) and
+    value-only SVD (the objective's, not svt's), one entry per call."""
+    calls = {"eigh": [], "solve": [], "qr": [], "svdvals": []}
+    eigh, solve, qr, svd = np.linalg.eigh, np.linalg.solve, np.linalg.qr, np.linalg.svd
+
+    def counting_eigh(M, *args, **kwargs):
+        calls["eigh"].append(M.shape)
+        return eigh(M, *args, **kwargs)
+
+    def counting_solve(M, *args, **kwargs):
+        calls["solve"].append(M.shape)
+        return solve(M, *args, **kwargs)
+
+    def counting_qr(M, mode="reduced"):
+        calls["qr"].append((M.shape, mode))
+        return qr(M, mode=mode)
+
+    def counting_svd(M, *args, compute_uv=True, **kwargs):
+        if not compute_uv:
+            calls["svdvals"].append(M.shape)
+        return svd(M, *args, compute_uv=compute_uv, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    monkeypatch.setattr(np.linalg, "qr", counting_qr)
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    return calls
+
+
 @pytest.mark.parametrize("max_iters", [5, 50])
-def test_full_fit_factors_the_d_by_d_system_a_fixed_number_of_times(monkeypatch, max_iters):
+def test_full_fit_factors_the_d_by_d_system_a_fixed_number_of_times(linalg_calls, max_iters):
     # One eigendecomposition of X'X per fit, for the full variant and for
     # ablation-a alike. The only systems solved are the full variant's 2m x 2m
     # O-step (each iteration) and W-step core (each iteration after the first).
@@ -501,30 +535,8 @@ def test_full_fit_factors_the_d_by_d_system_a_fixed_number_of_times(monkeypatch,
     # norm is an SVD of the m x 2m (P U) R', or of the m x b (or m x n) P for
     # ablation-a. Every QR is R-only, so no Q is formed.
     d, m = 6, 4
-    decomposed, solved, factored, spectra = [], [], [], []
-    eigh, solve, qr, svd = np.linalg.eigh, np.linalg.solve, np.linalg.qr, np.linalg.svd
-
-    def counting_eigh(M, *args, **kwargs):
-        decomposed.append(M.shape)
-        return eigh(M, *args, **kwargs)
-
-    def counting_solve(M, *args, **kwargs):
-        solved.append(M.shape)
-        return solve(M, *args, **kwargs)
-
-    def counting_qr(M, mode="reduced"):
-        factored.append((M.shape, mode))
-        return qr(M, mode=mode)
-
-    def counting_svd(M, *args, compute_uv=True, **kwargs):
-        if not compute_uv:                 # the objective's, not svt's
-            spectra.append(M.shape)
-        return svd(M, *args, compute_uv=compute_uv, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-    monkeypatch.setattr(np.linalg, "solve", counting_solve)
-    monkeypatch.setattr(np.linalg, "qr", counting_qr)
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    decomposed, solved, factored, spectra = (
+        linalg_calls[key] for key in ("eigh", "solve", "qr", "svdvals"))
     hp = Hyperparams(alpha=1.0, max_iters=max_iters, tol=1e-15)
     for n in (40, 10):                     # b is 14 (full) and 10 (ablation-a)
         ds = synth_lowrank(n, d, m, 2, 0.1, seed=15)
@@ -542,6 +554,99 @@ def test_full_fit_factors_the_d_by_d_system_a_fixed_number_of_times(monkeypatch,
             assert factored == ([((n, b), "r")] if n > b else []) + \
                 [((rows, 2 * m), "r")] * (max_iters if full else 0)
             assert spectra == [(m, 2 * m) if full else (m, rows)] * max_iters
+
+
+def test_ablation_b_with_ridge_takes_one_solve_and_no_eigendecomposition(linalg_calls):
+    ds = synth_lowrank(40, 6, 4, 2, 0.1, seed=15)
+    fit(ds.X, ds.D, Hyperparams(lam=0.1), variant="ablation-b", standardize_features=False,
+        add_bias=False)
+    assert linalg_calls["eigh"] == [] and linalg_calls["solve"] == [(6, 6)]
+
+
+def test_ablation_b_with_a_ridge_too_small_to_lift_the_null_space_falls_back_to_eigh():
+    # X'X + 2e-20 I repeats a row exactly, so the solve finds it singular; the
+    # eigenbasis form still gives the ridge solution on the span of X'X.
+    rng = np.random.default_rng(21)
+    X = rng.standard_normal((40, 6))
+    X[:, 5] = X[:, 2]
+    D = rng.dirichlet(np.ones(3), size=40).T
+    res = fit(X, D, Hyperparams(lam=1e-20), variant="ablation-b", standardize_features=False,
+              add_bias=False)
+    s, V = np.linalg.eigh(X.T @ X)
+    ridge = ((D @ X) @ V / (np.maximum(s, 0.0) + 2e-20)) @ V.T
+    np.testing.assert_allclose(res.model.W, ridge, rtol=1e-12)
+
+
+@pytest.mark.parametrize("lam", [0.1, 0.0])
+def test_ablation_b_rejects_an_overflowing_system(lam):
+    X, D = w_step_system(6, seed=4, n=40, m=3)
+    X[3, 2] = 1e200
+    with np.errstate(over="ignore"), \
+            pytest.raises(ValueError, match="W-step system has non-finite entries"):
+        fit(X, np.abs(D) / np.abs(D).sum(axis=0), Hyperparams(lam=lam), variant="ablation-b",
+            standardize_features=False, add_bias=False)
+
+
+def test_sweep_ablate_and_grid_take_one_eigendecomposition_per_training_split(
+        tmp_path, capsys, linalg_calls):
+    # At b >= n every run of a training split shares the split's one eigh of
+    # X'X: sweep's three values, and ablate's full and ablation-a runs beside
+    # ablation-b's one solve. cv --grid takes one per inner and one per outer
+    # training split, not one per candidate or variant. The per-iteration
+    # solves, QRs and SVDs stay as the test above pins them.
+    n, d, m, k, iters = 30, 24, 3, 3, 5       # each of the k training splits has 20 rows
+    rows, b = n - n // k, d + 1 + 2 * m       # with the bias column, b = 31 >= 20
+    assert rows <= b
+    path = tmp_path / "wide.txt"
+    save_dataset(synth_lowrank(n, d, m, 2, 0.1, seed=0), path)
+
+    def run(*argv):
+        for calls in linalg_calls.values():
+            calls.clear()
+        assert main([*argv, str(path), "--folds", str(k), "--max-iters", str(iters),
+                     "--tol", "1e-15", "--format", "csv"]) == 0
+        capsys.readouterr()
+        return linalg_calls
+
+    full_fits = 3 * k
+    calls = run("sweep", "--param", "alpha", "--values", "0.01,0.1,1")
+    assert calls["eigh"] == [(d + 1, d + 1)] * k
+    assert calls["solve"] == [(2 * m, 2 * m)] * ((2 * iters - 1) * full_fits)
+    assert calls["qr"] == [((rows, 2 * m), "r")] * (iters * full_fits)
+    assert calls["svdvals"] == [(m, 2 * m)] * (iters * full_fits)
+
+    calls = run("ablate")
+    assert calls["eigh"] == [(d + 1, d + 1)] * k
+    assert sorted(calls["solve"]) == sorted(
+        [(2 * m, 2 * m)] * ((2 * iters - 1) * k) + [(d + 1, d + 1)] * k)
+    assert calls["qr"] == [((rows, 2 * m), "r")] * (iters * k)
+    assert sorted(calls["svdvals"]) == sorted(        # ablation-b's objective: one
+        [(m, 2 * m), (m, rows)] * (iters * k) + [(m, rows)] * k)
+
+    calls = run("cv", "--variants", "full,ablation-a", "--grid", "alpha=0.1,1;lambda=0.1,0.5")
+    inner_rows = rows - rows // 5
+    assert sorted(calls["eigh"]) == [(d + 1, d + 1)] * (k * (5 + 1))
+    assert len(calls["qr"]) == iters * k * (5 * 4 + 1)
+    assert {shape for shape, _ in calls["qr"]} == {(rows, 2 * m), (inner_rows, 2 * m)}
+
+
+@pytest.mark.parametrize("n", [40, 12, 9])    # full b = 6 + 8, ablation-a b = 6 + 4
+def test_runs_fit_together_on_one_split_equal_separate_fits(n):
+    # solver._fit_split shares the design, L, the instance basis and the
+    # eigendecomposition of X'X between runs: at n = 40 the full and
+    # ablation-a runs have their own R, at n = 12 only ablation-a has one, and
+    # at n = 9 every run shares the design's. Each run is bit-equal to fit.
+    ds = synth_lowrank(n, 5, 4, 2, 0.1, seed=n)
+    runs = [(variant, Hyperparams(alpha=alpha, lam=lam, degradation=degradation))
+            for alpha in (0.01, 0.1, 1.0) for lam in (0.1, 0.01) for variant in Variant
+            for degradation in (ThresholdDegrade(0.5), TopKDegrade(2))]
+    for (variant, hp), res in zip(runs, solver._fit_split(ds.X, ds.D, runs)):
+        alone = fit(ds.X, ds.D, hp, variant)
+        np.testing.assert_array_equal(res.model.W, alone.model.W)
+        assert res.objective_trace == alone.objective_trace
+        assert (res.iterations_run, res.final_primal_residual, res.converged) == (
+            alone.iterations_run, alone.final_primal_residual, alone.converged)
+        assert res.model.variant is variant and res.model.hyperparams == hp
 
 
 @pytest.mark.parametrize("variant", ["full", "ablation-a"])
