@@ -11,7 +11,6 @@ included.
 from . import errors
 from .data import (
     Dataset,
-    FileFormat,
     FoldPlan,
     kfold,
     load_dataset,
@@ -64,7 +63,6 @@ __all__ = [
     "Degradation",
     "EvalReport",
     "FeatureMatrix",
-    "FileFormat",
     "FitResult",
     "FoldPlan",
     "Hyperparams",

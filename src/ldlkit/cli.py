@@ -18,7 +18,7 @@ import numpy as np
 
 from . import data as dio
 from .degrade import degrade
-from .errors import LdlError
+from .errors import LdlError, ShapeMismatch
 from .metrics import METRIC_NAMES, EvalReport, evaluate
 from .report import ResultRow, render, render_counts, report_rows
 from .solver import _fit_split, fit, load_model, predict, save_model
@@ -172,6 +172,8 @@ def cmd_predict(args) -> int:
 def cmd_evaluate(args) -> int:
     model = load_model(args.model)
     ds = dio.load_dataset(args.dataset)
+    if ds.m != model.m:
+        raise ShapeMismatch(f"model predicts {model.m} labels, but the dataset has {ds.m}")
     pred = predict(model, ds.X.data)
     rows = report_rows(ds.name, model.variant.value, evaluate(ds.D.data, pred))
     print(render(rows, args.fmt), end="")

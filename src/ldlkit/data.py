@@ -1,13 +1,14 @@
 """Dataset ingestion, synthetic generation, subsetting and CV splitting.
 
-Two on-disk formats are supported:
+Two on-disk formats are supported, told apart by the path's suffix:
 
 * ``MatrixText`` -- a header line ``n d m`` followed by n whitespace-separated
   feature rows (d values each) and n distribution rows (m values each).
   Written with 17 significant digits so round-trips are bit-exact.  Read
   with numpy's C reader; a file it does not take as finite rows of the
   header's widths is parsed again line by line, only to name the bad line.
-* ``Csv`` -- a header row ``f1..fd,y1..ym`` and one instance per row.
+* ``Csv`` -- a header row ``f1..fd,y1..ym`` and one instance per row, in a
+  file whose suffix is ``.csv`` in any case; every other path is MatrixText.
 
 Both formats decode with ``_decode`` and parse rows with ``_parse_rows``: a
 bad byte, a non-numeric or non-finite value, or a row of the wrong width
@@ -19,7 +20,6 @@ Relative dataset paths that do not exist are also searched under the
 from __future__ import annotations
 
 import csv
-import enum
 import io
 import math
 import os
@@ -39,11 +39,6 @@ from .types import (
 )
 
 DATA_DIR_ENV = "LDL_DATA_DIR"
-
-
-class FileFormat(enum.Enum):
-    MATRIX_TEXT = "matrixtext"
-    CSV = "csv"
 
 
 @dataclass(frozen=True)
@@ -77,7 +72,6 @@ class FoldPlan:
     """Assignment of each instance to one of ``k`` folds, balanced to within one."""
 
     k: int
-    seed: int
     assignments: np.ndarray
 
     def __post_init__(self):
@@ -103,25 +97,18 @@ def resolve_data_path(path) -> Path:
     return p
 
 
-def infer_format(path) -> FileFormat:
-    return FileFormat.CSV if Path(path).suffix.lower() == ".csv" else FileFormat.MATRIX_TEXT
+def _is_csv(path) -> bool:
+    return path.suffix.lower() == ".csv"
 
 
-def load_dataset(path, fmt: Optional[FileFormat] = None, name: Optional[str] = None) -> Dataset:
-    """Load a dataset, validating and (within tolerance) renormalizing the
-    distribution columns.  Toolkit errors name the file; a ParseError keeps
-    its ``line``."""
+def load_dataset(path) -> Dataset:
+    """Load a dataset named after the file's stem, validating and (within
+    tolerance) renormalizing the distribution columns.  Toolkit errors name
+    the file; a ParseError keeps its ``line``."""
     path = resolve_data_path(path)
-    if fmt is None:
-        fmt = infer_format(path)
-    if name is None:
-        name = Path(path).stem
     try:
-        if fmt is FileFormat.MATRIX_TEXT:
-            X, D, labels = _load_matrix_text(path)
-        else:
-            X, D, labels = _load_csv(path)
-        return Dataset(name, FeatureMatrix(X), validate_distribution_matrix(D), labels)
+        X, D, labels = _load_csv(path) if _is_csv(path) else _load_matrix_text(path)
+        return Dataset(path.stem, FeatureMatrix(X), validate_distribution_matrix(D), labels)
     except LdlError as exc:
         exc.args = (f"{path}: {exc}",)
         raise
@@ -257,14 +244,12 @@ def _load_csv(path):
     return values[:, :d], values[:, d:].T, tuple(names[d:])
 
 
-def save_dataset(ds: Dataset, path, fmt: Optional[FileFormat] = None) -> None:
+def save_dataset(ds: Dataset, path) -> None:
     """Write a dataset; MatrixText uses 17 significant digits (lossless)."""
     path = Path(path)
-    if fmt is None:
-        fmt = infer_format(path)
     X = ds.X.data
     Drows = ds.D.data.T
-    if fmt is FileFormat.MATRIX_TEXT:
+    if not _is_csv(path):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(f"{ds.n} {ds.d} {ds.m}\n")
             np.savetxt(fh, X, fmt="%.17g")
@@ -289,12 +274,12 @@ def synth_lowrank(
     degraded multi-label matrix inherits the low-rank pattern structure.
     Deterministic in ``seed``.
     """
+    if min(n, d, m, r) < 1:
+        raise ValueError(f"n, d, m, r must be positive, got {n}, {d}, {m}, {r}")
     if r > min(m, n):
         raise ValueError(f"r={r} must not exceed min(m, n)={min(m, n)}")
-    if noise < 0:
-        raise ValueError(f"noise must be nonnegative, got {noise}")
-    if n < 1 or d < 1 or m < 1 or r < 1:
-        raise ValueError("n, d, m, r must be positive")
+    if not (math.isfinite(noise) and noise >= 0):
+        raise ValueError(f"noise must be finite and nonnegative, got {noise}")
     rng = np.random.default_rng(seed)
     coeff = rng.standard_normal((m, r)) @ rng.standard_normal((r, d))
     X = rng.standard_normal((n, d))
@@ -321,14 +306,14 @@ def kfold(n: int, k: int = 10, seed: int = 42) -> FoldPlan:
         size = base + (1 if fold < extra else 0)
         assignments[order[start:start + size]] = fold
         start += size
-    return FoldPlan(k=k, seed=seed, assignments=assignments)
+    return FoldPlan(k=k, assignments=assignments)
 
 
-def subset(ds: Dataset, idx: Sequence[int], name: Optional[str] = None) -> Dataset:
-    """Dataset restricted to the given instance indices."""
+def subset(ds: Dataset, idx: Sequence[int]) -> Dataset:
+    """Dataset restricted to the given instance indices, under the same name."""
     idx = np.asarray(idx, dtype=np.int64)
     return Dataset(
-        name or ds.name,
+        ds.name,
         FeatureMatrix(ds.X.data[idx]),
         LabelDistributionMatrix(ds.D.data[:, idx]),
         ds.label_names,

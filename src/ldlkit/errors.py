@@ -27,9 +27,6 @@ class ShapeMismatch(LdlError):
     """An array has the wrong shape, or two that must agree on a dimension do not."""
 
 
-DimensionMismatch = ShapeMismatch
-
-
 class ParseError(LdlError):
     """A dataset file could not be parsed; carries the 1-based line number."""
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import ShapeMismatch
 
 KL_EPS = 1e-12
 
@@ -24,7 +24,7 @@ def _pair(d, p) -> tuple[np.ndarray, np.ndarray]:
     d = np.asarray(d, dtype=np.float64)
     p = np.asarray(p, dtype=np.float64)
     if d.shape != p.shape:
-        raise DimensionMismatch(f"shape mismatch: {d.shape} vs {p.shape}")
+        raise ShapeMismatch(f"shape mismatch: {d.shape} vs {p.shape}")
     return d, p
 
 

@@ -12,10 +12,12 @@ closed-form updates plus a singular-value-thresholding step:
                       + lam (||W||_F^2 + ||O||_F^2)
     subject to        W X' O = G.
 
-All subproblems are solved exactly (no explicit inverses), the coupling
-penalty grows geometrically up to ``mu_max``, and the stopping rule combines
-the relative constraint residual with the relative change of W; a non-finite
-iterate raises ``NonFiniteIterate``.  Nothing is randomized.
+All subproblems are solved exactly (no explicit inverses).  The coupling
+penalty's schedule belongs to the solver, not the model: it starts at ``MU0``
+(0.1), is multiplied by ``MU_GROWTH`` (1.1) after each iteration and is capped
+at ``MU_MAX`` (1e6).  The stopping rule combines the relative constraint
+residual with the relative change of W; a non-finite iterate raises
+``NonFiniteIterate``.  Nothing is randomized.
 
 The O-step matrix is 2 lam I plus a rank-<=2m term, so its minimizer is
 exactly O = U K with U = [D' P'] (n x 2m) and K from a 2m x 2m solve; ``fit``
@@ -63,6 +65,10 @@ from .types import (
 )
 
 MODEL_FORMAT_VERSION = 1
+
+MU0 = 0.1
+MU_MAX = 1e6
+MU_GROWTH = 1.1
 
 
 @dataclass(frozen=True)
@@ -228,22 +234,20 @@ def _w_steps(spectrum, lam: float):
     return DXV / a, step
 
 
-def _admm(X, D, L, hp: Hyperparams, spectrum=None):
+def _admm(X, D, L, hp: Hyperparams, spectrum):
     """The splitting loop on Wv = W V (see :func:`_w_steps`, given X's
-    ``spectrum`` or taking it), P = W X' and PO = P O; O = U K with
+    ``spectrum``), P = W X' and PO = P O; O = U K with
     U = [D' P'], or I while K is None (ablation-a: L None).  T = U'U K holds
     D O and P O, <T, K> is ||O||^2, and N = (P U) R' for R of K' = Q R has
     P O's singular values.  Raises NonFiniteIterate at the first non-finite
     primal residual or W change.  Returns W, the iterations run, the last
     primal residual, the trace and converged."""
-    if spectrum is None:
-        spectrum = _spectrum(X, D)
     _, V, XV, _ = spectrum
     Wv, w_step = _w_steps(spectrum, hp.lam)
     m = D.shape[0]
     PO = Wv @ XV.T
     K = R = None
-    multipliers, penalty = np.zeros(D.shape), hp.mu0
+    multipliers, penalty = np.zeros(D.shape), MU0
     trace = []
     # An overflowing iterate is reported once, as NonFiniteIterate, not as
     # numpy warnings from the steps before the check.
@@ -266,7 +270,7 @@ def _admm(X, D, L, hp: Hyperparams, spectrum=None):
                 raise NonFiniteIterate(f"iterate is not finite at iteration {it} (relative"
                                        f" primal residual {primal:g}, W change {w_change:g})")
             multipliers = multipliers - penalty * residual
-            penalty = min(hp.mu_growth * penalty, hp.mu_max)
+            penalty = min(MU_GROWTH * penalty, MU_MAX)
             trace.append(_objective(Wv, P, N, D, hp.alpha, hp.lam, o_terms))
             if primal <= hp.tol and w_change <= hp.tol:
                 return Wv @ V.T, it, primal, trace, True

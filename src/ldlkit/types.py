@@ -165,16 +165,19 @@ Degradation = Union[ThresholdDegrade, TopKDegrade]
 
 
 def parse_degradation(spec: str) -> Degradation:
-    """Parse ``"threshold:T"`` or ``"topk:K"`` into a degradation setting."""
+    """Parse ``"threshold:T"`` or ``"topk:K"``; a malformed spec's ValueError quotes it."""
     kind, sep, value = spec.partition(":")
     if not sep:
         raise ValueError(f"degradation spec {spec!r} must look like 'threshold:0.5' or 'topk:3'")
     kind = kind.strip().lower()
-    if kind == "threshold":
-        return ThresholdDegrade(float(value))
-    if kind == "topk":
-        return TopKDegrade(int(value))
-    raise ValueError(f"unknown degradation kind {kind!r}")
+    if kind not in ("threshold", "topk"):
+        raise ValueError(f"unknown degradation kind {kind!r} in spec {spec!r}")
+    try:
+        value = float(value) if kind == "threshold" else int(value)
+    except ValueError:
+        what = "a number" if kind == "threshold" else "an integer"
+        raise ValueError(f"degradation spec {spec!r} needs {what} after ':'") from None
+    return ThresholdDegrade(value) if kind == "threshold" else TopKDegrade(value)
 
 
 class Variant(enum.Enum):
@@ -193,23 +196,18 @@ class Hyperparams:
     """Solver hyperparameters.
 
     ``alpha`` weighs the nuclear-norm term, ``lam`` the shared ridge penalty
-    on both parameter matrices.  ``mu0``/``mu_max``/``mu_growth`` control the
-    penalty schedule of the splitting solver.
+    on both parameter matrices; ``degradation`` builds the auxiliary
+    multi-label matrix.  ``max_iters`` and ``tol`` bound the splitting solver.
     """
 
     alpha: float = 0.1
     lam: float = 0.1
     degradation: Degradation = field(default_factory=ThresholdDegrade)
-    mu0: float = 0.1
-    mu_max: float = 1e6
-    mu_growth: float = 1.1
     max_iters: int = 200
     tol: float = 1e-5
 
     def __post_init__(self):
-        for name, value in (("alpha", self.alpha), ("lambda", self.lam), ("tol", self.tol),
-                            ("mu0", self.mu0), ("mu_max", self.mu_max),
-                            ("mu_growth", self.mu_growth)):
+        for name, value in (("alpha", self.alpha), ("lambda", self.lam), ("tol", self.tol)):
             if not np.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
         if self.alpha < 0:
@@ -218,10 +216,6 @@ class Hyperparams:
             raise ValueError(f"lambda must be nonnegative, got {self.lam}")
         if not isinstance(self.degradation, (ThresholdDegrade, TopKDegrade)):
             raise TypeError("degradation must be ThresholdDegrade or TopKDegrade")
-        if not (0 < self.mu0 <= self.mu_max):
-            raise ValueError(f"require 0 < mu0 <= mu_max, got mu0={self.mu0}, mu_max={self.mu_max}")
-        if not self.mu_growth > 1:
-            raise ValueError(f"mu_growth must exceed 1, got {self.mu_growth}")
         try:
             integral = int(self.max_iters) == self.max_iters
         except (TypeError, ValueError, OverflowError):

@@ -82,6 +82,38 @@ def test_predict_and_evaluate_round_trip(tmp_path, capsys, synth_file):
     assert stdout.count("\n") == 7  # header + six metrics
 
 
+@pytest.mark.parametrize("m", [3, 5])
+def test_evaluate_on_another_label_count_names_both_counts(tmp_path, capsys, synth_file, m):
+    model_path = tmp_path / "model.npz"
+    run(capsys, "train", synth_file, "--model-out", str(model_path))
+    other = tmp_path / "other.txt"
+    save_dataset(synth_lowrank(30, 6, m, 2, 0.1, seed=1), other)
+    code, stdout, stderr = run(capsys, "evaluate", str(other), "--model", str(model_path))
+    assert (code, stdout) == (1, "")
+    assert stderr == f"error: model predicts 4 labels, but the dataset has {m}\n"
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--n", "0"], "n, d, m, r must be positive, got 0, 20, 6, 2"),
+    (["--noise", "nan"], "noise must be finite and nonnegative, got nan"),
+    (["--noise", "inf"], "noise must be finite and nonnegative, got inf"),
+])
+def test_synth_names_the_bad_argument(tmp_path, capsys, args, message):
+    out = tmp_path / "ds.txt"
+    code, stdout, stderr = run(capsys, "synth", *args, "--out", str(out))
+    assert (code, stdout, stderr) == (1, "", f"error: {message}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("spec, needs", [
+    ("threshold:abc", "a number"), ("threshold:", "a number"), ("topk:1.5", "an integer"),
+])
+def test_bad_degradation_value_names_the_spec(capsys, synth_file, spec, needs):
+    code, stdout, stderr = run(capsys, "degrade", synth_file, "--degrade", spec)
+    assert (code, stdout) == (1, "")
+    assert stderr == f"error: degradation spec {spec!r} needs {needs} after ':'\n"
+
+
 def test_cv_three_variants_row_shape(capsys, synth_file):
     code, stdout, _ = run(capsys, "cv", synth_file, "--variants",
                           "full,ablation-a,ablation-b", "--folds", "4", "--format", "csv")

@@ -7,7 +7,6 @@ import pytest
 from ldlkit import (
     Dataset,
     FeatureMatrix,
-    FileFormat,
     LabelDistributionMatrix,
     fit,
     kfold,
@@ -105,11 +104,23 @@ def test_csv_round_trip(tmp_path):
     np.testing.assert_array_equal(back.D.data, ds.D.data)
 
 
+def test_a_csv_suffix_in_any_case_selects_csv(tmp_path):
+    ds = synth_lowrank(11, 4, 3, 2, 0.1, seed=1)
+    for name in ["upper.CSV", "mixed.Csv"]:
+        save_dataset(ds, tmp_path / name)
+        assert (tmp_path / name).read_text(encoding="utf-8").startswith("f1,f2,f3,f4,y1,y2,y3\n")
+        back = load_dataset(tmp_path / name)
+        assert back.name == name.split(".")[0]
+        np.testing.assert_array_equal(back.X.data, ds.X.data)
+    save_dataset(ds, tmp_path / "plain.dat")
+    assert (tmp_path / "plain.dat").read_text(encoding="utf-8").startswith("11 4 3\n")
+
+
 def test_csv_parse_errors(tmp_path):
     with pytest.raises(ParseError):
-        load_dataset(write(tmp_path, "e.csv", ""), fmt=FileFormat.CSV)
+        load_dataset(write(tmp_path, "e.csv", ""))
     with pytest.raises(ParseError) as exc:
-        load_dataset(write(tmp_path, "r.csv", "f1,y1\n0.5\n"), fmt=FileFormat.CSV)
+        load_dataset(write(tmp_path, "r.csv", "f1,y1\n0.5\n"))
     assert exc.value.line == 2
 
 
@@ -134,6 +145,13 @@ def test_synth_rejects_bad_sizes():
         synth_lowrank(10, 3, 4, 5)
     with pytest.raises(ValueError):
         synth_lowrank(10, 3, 4, 2, noise=-1)
+    # a size below 1 is named before r is compared with min(m, n)
+    for sizes in [(0, 3, 4, 2), (10, 0, 4, 2), (10, 3, 0, 2), (10, 3, 4, 0), (-1, 3, 4, 2)]:
+        with pytest.raises(ValueError, match="must be positive, got " + ", ".join(map(str, sizes))):
+            synth_lowrank(*sizes)
+    for noise in [np.nan, np.inf, -np.inf]:
+        with pytest.raises(ValueError, match=f"noise must be finite and nonnegative, got {noise}"):
+            synth_lowrank(10, 3, 4, 2, noise=noise)
 
 
 def test_kfold_equal_sizes():
@@ -223,7 +241,7 @@ def test_dataset_shape_consistency():
 def test_subset():
     ds = synth_lowrank(20, 4, 3, 2, 0.1, seed=2)
     sub = subset(ds, [1, 5, 7])
-    assert sub.n == 3
+    assert (sub.n, sub.name) == (3, ds.name)
     np.testing.assert_array_equal(sub.X.data, ds.X.data[[1, 5, 7]])
     np.testing.assert_array_equal(sub.D.data, ds.D.data[:, [1, 5, 7]])
 

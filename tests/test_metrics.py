@@ -12,7 +12,7 @@ from ldlkit import (
     intersection,
     kl_divergence,
 )
-from ldlkit.errors import DimensionMismatch
+from ldlkit.errors import ShapeMismatch
 from ldlkit.metrics import KL_EPS
 
 ALL = (chebyshev, clark, canberra, kl_divergence, cosine, intersection)
@@ -139,9 +139,9 @@ def test_kl_with_zero_predictions_is_finite():
 
 def test_dimension_mismatch():
     for f in ALL:
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ShapeMismatch):
             f([0.5, 0.5], [0.2, 0.3, 0.5])
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ShapeMismatch):
         evaluate(np.eye(2), np.eye(3))
 
 

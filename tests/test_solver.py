@@ -25,7 +25,7 @@ from ldlkit import (
     update_w,
 )
 from ldlkit.cli import main
-from ldlkit.errors import DimensionMismatch, SingularSystem
+from ldlkit.errors import ShapeMismatch, SingularSystem
 
 
 def svt_oracle(A, tau):
@@ -316,7 +316,7 @@ def test_fit_variants_accept_strings_and_tag_models():
 
 def test_fit_rejects_mismatched_instance_counts():
     ds = synth_lowrank(30, 4, 3, 2, 0.1, seed=8)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ShapeMismatch):
         fit(ds.X.data[:20], ds.D.data)
 
 
@@ -452,7 +452,7 @@ def dense_reference_fit(X, D, hp, full):
             add_bias=False).model.W
     O = np.eye(n)
     L = degrade(D, hp.degradation).data
-    state = SolverState(aux=W @ X.T @ O, multipliers=np.zeros(D.shape), penalty=hp.mu0)
+    state = SolverState(aux=W @ X.T @ O, multipliers=np.zeros(D.shape), penalty=solver.MU0)
     trace = []
     for _ in range(hp.max_iters):
         state.aux = update_g(W, X, O, state.multipliers, state.penalty, hp.alpha)
@@ -461,7 +461,7 @@ def dense_reference_fit(X, D, hp, full):
         W = W_new
         if full:
             O = update_o(X, W, D, L, state.aux, state.multipliers, state.penalty, hp.lam)
-        state = update_multipliers(state, W, X, O, hp.mu_growth, hp.mu_max)
+        state = update_multipliers(state, W, X, O, solver.MU_GROWTH, solver.MU_MAX)
         trace.append(documented_objective(W, X, D, O, L, hp, full))
         if state.primal_residual <= hp.tol and w_change <= hp.tol:
             break
@@ -475,11 +475,12 @@ def dense_reference_fit(X, D, hp, full):
     ((12, 20, 3, 10), 0.1),            # n < d
     ((40, 6, 4, 60, 1.0, 1.0), 0.1),   # (alpha, mu_max): the penalty reaches mu_max
 ])
-def test_fit_matches_dense_reference_loop(variant, shape, lam):
+def test_fit_matches_dense_reference_loop(monkeypatch, variant, shape, lam):
     n, d, m, iters, *schedule = shape
     alpha, mu_max = schedule or (0.1, 1e6)
+    monkeypatch.setattr(solver, "MU_MAX", mu_max)
     ds = synth_lowrank(n, d, m, 2, 0.1, seed=15)
-    hp = Hyperparams(alpha=alpha, lam=lam, mu_max=mu_max, max_iters=iters)
+    hp = Hyperparams(alpha=alpha, lam=lam, max_iters=iters)
     res = fit(ds.X, ds.D, hp, variant=variant, standardize_features=False, add_bias=False)
     W_ref, state, trace = dense_reference_fit(ds.X.data, ds.D.data, hp, variant == "full")
     assert res.iterations_run == state.iteration
@@ -663,7 +664,8 @@ def test_fit_on_the_instance_basis_matches_the_loop_on_all_instances(variant, ex
     ds = synth_lowrank(n, d, m, 2, 0.1, seed=n)
     hp = Hyperparams(alpha=alpha, lam=lam)
     L = degrade(ds.D, hp.degradation).data if full else None
-    W, iterations, primal, trace, converged = solver._admm(ds.X.data, ds.D.data, L, hp)
+    spectrum = solver._spectrum(ds.X.data, ds.D.data)
+    W, iterations, primal, trace, converged = solver._admm(ds.X.data, ds.D.data, L, hp, spectrum)
     res = fit(ds.X, ds.D, hp, variant=variant, standardize_features=False, add_bias=False)
     assert (res.iterations_run, res.converged) == (iterations, converged)
     np.testing.assert_allclose(res.model.W, W, rtol=0, atol=1e-10)
@@ -739,14 +741,14 @@ def test_predict_always_returns_simplex():
 def test_predict_dimension_mismatch():
     ds = synth_lowrank(30, 4, 3, 2, 0.1, seed=11)
     res = fit(ds.X, ds.D)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ShapeMismatch):
         predict(res.model, np.ones(5))
 
 
 def test_model_round_trip_is_bit_exact(tmp_path):
     ds = synth_lowrank(40, 5, 3, 2, 0.1, seed=12)
     hp = Hyperparams(alpha=0.05, lam=0.7, degradation=ThresholdDegrade(0.3),
-                     mu0=0.2, mu_max=1e5, mu_growth=1.2, max_iters=150, tol=1e-6)
+                     max_iters=150, tol=1e-6)
     res = fit(ds.X, ds.D, hp)
     path = tmp_path / "model.npz"
     save_model(res.model, path)

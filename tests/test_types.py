@@ -1,3 +1,6 @@
+import re
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -95,10 +98,14 @@ def test_topk_requires_positive_integer():
 def test_parse_degradation():
     assert parse_degradation("threshold:0.4") == ThresholdDegrade(0.4)
     assert parse_degradation("topk:2") == TopKDegrade(2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("in spec 'nope:1'")):
         parse_degradation("nope:1")
     with pytest.raises(ValueError):
         parse_degradation("threshold")
+    for spec, needs in [("threshold:abc", "a number"), ("threshold:", "a number"),
+                        ("topk:1.5", "an integer"), ("topk:", "an integer")]:
+        with pytest.raises(ValueError, match=re.escape(f"degradation spec '{spec}' needs {needs}")):
+            parse_degradation(spec)
 
 
 def test_hyperparams_validation():
@@ -107,10 +114,6 @@ def test_hyperparams_validation():
         Hyperparams(alpha=-1)
     with pytest.raises(ValueError):
         Hyperparams(lam=-0.5)
-    with pytest.raises(ValueError):
-        Hyperparams(mu0=10, mu_max=1)
-    with pytest.raises(ValueError):
-        Hyperparams(mu_growth=1.0)
     with pytest.raises(ValueError):
         Hyperparams(max_iters=0)
     with pytest.raises(ValueError):
@@ -130,8 +133,11 @@ def test_every_exported_name_resolves_and_removed_names_are_gone():
     for name in ldlkit.__all__:
         assert hasattr(ldlkit, name), name
     removed = {"solver": ("update_g", "update_multipliers"), "types": ("SolverState",),
-               "data": ("standardize",)}
+               "data": ("standardize", "FileFormat", "infer_format"),
+               "errors": ("DimensionMismatch",)}
     for module, names in removed.items():
         for name in names:
             assert not hasattr(ldlkit, name), name
             assert not hasattr(getattr(ldlkit, module), name), f"{module}.{name}"
+    assert [f.name for f in fields(Hyperparams)] == ["alpha", "lam", "degradation",
+                                                     "max_iters", "tol"]
