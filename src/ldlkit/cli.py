@@ -19,7 +19,7 @@ import numpy as np
 from . import data as dio
 from .degrade import degrade
 from .errors import LdlError, ShapeMismatch
-from .metrics import METRIC_NAMES, EvalReport, evaluate
+from .metrics import EvalReport, evaluate
 from .report import ResultRow, render, render_counts, report_rows
 from .solver import _fit_split, fit, load_model, predict, save_model
 from .types import Hyperparams, Variant, parse_degradation
@@ -27,7 +27,7 @@ from .types import Hyperparams, Variant, parse_degradation
 PARAM_GRID_DEFAULT = (0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 10.0)
 
 Split = Tuple[np.ndarray, np.ndarray]
-Run = Tuple[Variant, Hyperparams]
+Run = Tuple[str, Variant, Hyperparams]
 
 
 def _add_hp_flags(p: argparse.ArgumentParser) -> None:
@@ -73,36 +73,26 @@ def _splits(n: int, folds: int, seed: int, holdout: Optional[float] = None) -> L
         perm = np.random.default_rng(seed).permutation(n)
         n_test = max(1, int(round(n * holdout)))
         return [(perm[n_test:], perm[:n_test])]
+    if folds < 2:
+        raise ValueError(f"--folds must be at least 2, got {folds}")
     plan = dio.kfold(n, folds, seed)
     return [plan.split(f) for f in range(plan.k)]
 
 
-def _fold_reports(ds, splits: Sequence[Split], runs: Sequence[Run], fit_kwargs: dict,
-                  tune=None) -> List[List[EvalReport]]:
-    """Each run's test-set scores on each split.  A split's runs are fit
-    together on its training part, which they share; ``tune(train, runs)``
-    picks the runs' hyperparameters from that training part."""
+def _rows(ds, runs: Sequence[Run], splits: Sequence[Split], fit_kwargs: dict,
+          tune=None) -> List[ResultRow]:
+    """Each (tag, variant, hp) run's rows of test-set scores over the splits.
+    A split's runs are fit together on its training part, which they share;
+    ``tune(train, runs)`` picks the runs' hyperparameters from that part."""
     reports: List[List[EvalReport]] = [[] for _ in runs]
     for train, test in splits:
+        split_runs = tune(train, runs) if tune else runs
         results = _fit_split(ds.X.data[train], ds.D.data[:, train],
-                             tune(train, runs) if tune else runs, **fit_kwargs)
+                             [(variant, hp) for _, variant, hp in split_runs], **fit_kwargs)
         for run_reports, res in zip(reports, results):
             run_reports.append(evaluate(ds.D.data[:, test], predict(res.model, ds.X.data[test])))
-    return reports
-
-
-def _rows(ds, runs, splits: Sequence[Split], fit_kwargs: dict, tune=None) -> List[ResultRow]:
-    """Mean±std rows over the splits for each (tag, variant, hp) run; with a
-    single split the std is over its test instances."""
-    rows: List[ResultRow] = []
-    all_reports = _fold_reports(ds, splits, [(variant, hp) for _, variant, hp in runs],
-                                fit_kwargs, tune)
-    for (tag, _, _), reports in zip(runs, all_reports):
-        for name in METRIC_NAMES:
-            means = np.array([rep.mean(name) for rep in reports])
-            std = reports[0].std(name) if len(reports) == 1 else np.std(means)
-            rows.append(ResultRow(ds.name, tag, name, float(np.mean(means)), float(std)))
-    return rows
+    return [row for (tag, _, _), run_reports in zip(runs, reports)
+            for row in report_rows(ds.name, tag, run_reports)]
 
 
 def _parse_values(text: str, what: str) -> Tuple[float, ...]:
@@ -153,7 +143,7 @@ def cmd_train(args) -> int:
     print(f"variant={args.variant} iterations={res.iterations_run} "
           f"residual={res.final_primal_residual:.6g} converged={conv}")
     pred = predict(res.model, ds.X.data)
-    rows = report_rows(ds.name, f"{args.variant}[train]", evaluate(ds.D.data, pred))
+    rows = report_rows(ds.name, f"{args.variant}[train]", [evaluate(ds.D.data, pred)])
     print(render(rows, args.fmt), end="")
     print(f"model written to {args.model_out}")
     return 0
@@ -175,7 +165,7 @@ def cmd_evaluate(args) -> int:
     if ds.m != model.m:
         raise ShapeMismatch(f"model predicts {model.m} labels, but the dataset has {ds.m}")
     pred = predict(model, ds.X.data)
-    rows = report_rows(ds.name, model.variant.value, evaluate(ds.D.data, pred))
+    rows = report_rows(ds.name, model.variant.value, [evaluate(ds.D.data, pred)])
     print(render(rows, args.fmt), end="")
     return 0
 
@@ -183,7 +173,11 @@ def cmd_evaluate(args) -> int:
 def cmd_cv(args) -> int:
     ds = dio.load_dataset(args.dataset)
     hp = _hyperparams(args)
-    variants = [Variant(v.strip()) for v in args.variants.split(",") if v.strip()]
+    try:
+        variants = [Variant(v.strip()) for v in args.variants.split(",") if v.strip()]
+    except ValueError as exc:
+        choices = ", ".join(v.value for v in Variant)
+        raise ValueError(f"--variants: {exc}; choose from {choices}") from None
     if not variants:
         raise ValueError(f"--variants {args.variants!r} lists no variants")
     fit_kwargs = _fit_kwargs(args)
@@ -196,11 +190,10 @@ def cmd_cv(args) -> int:
             first candidate with the lowest mean KL wins."""
             sub = dio.subset(ds, train)
             inner = _splits(sub.n, 5, args.seed)
-            cands = [(variant, replace(hp, alpha=a, lam=l)) for variant, hp in runs
+            cands = [(tag, variant, replace(hp, alpha=a, lam=l)) for tag, variant, hp in runs
                      for a, l in itertools.product(grid.get("alpha", (hp.alpha,)),
                                                    grid.get("lambda", (hp.lam,)))]
-            kl = [np.mean([rep.kl for rep in reports])
-                  for reports in _fold_reports(sub, inner, cands, fit_kwargs)]
+            kl = [row.mean for row in _rows(sub, cands, inner, fit_kwargs) if row.metric == "kl"]
             per_run = len(cands) // len(runs)
             return [cands[start + int(np.argmin(kl[start:start + per_run]))]
                     for start in range(0, len(cands), per_run)]
@@ -334,7 +327,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (LdlError, ValueError, OSError) as exc:
+    except (LdlError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -283,7 +283,10 @@ def synth_lowrank(
     rng = np.random.default_rng(seed)
     coeff = rng.standard_normal((m, r)) @ rng.standard_normal((r, d))
     X = rng.standard_normal((n, d))
-    raw = coeff @ X.T + noise * rng.standard_normal((m, n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        raw = coeff @ X.T + noise * rng.standard_normal((m, n))
+    if not np.isfinite(raw).all():
+        raise ValueError(f"noise {noise:g} overflows the label scores")
     raw -= raw.max(axis=0, keepdims=True)
     D = np.exp(raw)
     D /= D.sum(axis=0, keepdims=True)

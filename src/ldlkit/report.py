@@ -13,6 +13,8 @@ import io
 from dataclasses import dataclass
 from typing import Iterable, List, Sequence, Tuple
 
+import numpy as np
+
 from .metrics import METRIC_NAMES, EvalReport
 
 
@@ -29,12 +31,15 @@ def fmt(value: float) -> str:
     return f"{value:.6g}"
 
 
-def report_rows(dataset: str, variant: str, report: EvalReport) -> List[ResultRow]:
-    """Expand an evaluation report into one row per metric."""
-    return [
-        ResultRow(dataset, variant, name, report.mean(name), report.std(name))
-        for name in METRIC_NAMES
-    ]
+def report_rows(dataset: str, variant: str, reports: Sequence[EvalReport]) -> List[ResultRow]:
+    """One row per metric for a run's reports, one per split: the mean and std
+    of the split means, or one split's mean and std over its test instances."""
+    rows = []
+    for name in METRIC_NAMES:
+        means = np.array([rep.mean(name) for rep in reports])
+        std = reports[0].std(name) if len(reports) == 1 else np.std(means)
+        rows.append(ResultRow(dataset, variant, name, float(np.mean(means)), float(std)))
+    return rows
 
 
 def render_csv(rows: Iterable[ResultRow]) -> str:

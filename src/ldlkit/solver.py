@@ -31,10 +31,10 @@ Every instance-indexed object of the loop lies in the span of [X, D', L'], of
 width b <= d + 2m (d + m for ablation-a, which has no L).  So when b < n,
 ``fit`` takes R of one thin QR [X, D', L'] = Q R and runs the loop on R's
 column blocks in place of X, D' and L': no iteration touches an n-length
-vector, and Q is never formed.  When b >= n the loop runs on the instances,
-and all runs on one training split (a cross-validated search) share one
-eigendecomposition of X'X; when b < n, runs of one variant and degradation
-share theirs.  Ablation-b at lam > 0 takes one solve instead.
+vector, and Q is never formed.  When b >= n the loop runs on the instances.
+All runs on one training split (a cross-validated search) share its Gram X'X
+and at most one eigendecomposition of it, taken on first use; each loop runs
+in that V on its own basis.  Ablation-b at lam > 0 takes one solve with X'X.
 
 The public ``svt``, ``update_w`` and ``update_o`` are single dense steps at a
 given O, outside the loop: the tests build the loop's dense reference from them.
@@ -45,6 +45,7 @@ itself (no auxiliary task); ``ablation-b`` is plain ridge regression.
 """
 from __future__ import annotations
 
+import functools
 import zipfile
 from dataclasses import dataclass, fields
 from typing import List, Optional, Union
@@ -195,16 +196,10 @@ def _objective(W, P, N, D, alpha, lam, o_terms=0.0) -> float:
     return float(value + o_terms)
 
 
-def _spectrum(X, D):
-    """The lam-free part of a fit's W-steps: s and V of X'X = V diag(s) V'
-    (s clipped at 0), XV = X V and DXV = (D X) V."""
-    s, V = _eigh_psd(X.T @ X, "W-step")
-    return s, V, X @ V, (D @ X) @ V
-
-
 def _w_steps(spectrum, lam: float):
     """The ridge start Wv = W V and the W-step of one fit, in the eigenbasis
-    of X'X (see :func:`_spectrum`), where A = X'X + 2 lam I is diag(a).
+    of X'X: ``spectrum`` holds s and V of X'X = V diag(s) V' (s clipped at 0),
+    XV = X V and DXV = (D X) V, and A = X'X + 2 lam I is diag(a).
 
     The step maps Wv to the next Wv, and is diagonal while O = I.  Once
     O = U K with U = [D' P'] and P = Wv XV', XV'U is [DXV', s Wv'] because
@@ -234,7 +229,7 @@ def _w_steps(spectrum, lam: float):
     return DXV / a, step
 
 
-def _admm(X, D, L, hp: Hyperparams, spectrum):
+def _admm(D, L, hp: Hyperparams, spectrum):
     """The splitting loop on Wv = W V (see :func:`_w_steps`, given X's
     ``spectrum``), P = W X' and PO = P O; O = U K with
     U = [D' P'], or I while K is None (ablation-a: L None).  T = U'U K holds
@@ -277,20 +272,22 @@ def _admm(X, D, L, hp: Hyperparams, spectrum):
     return Wv @ V.T, hp.max_iters, primal, trace, False
 
 
-def _ridge(X, D, lam: float):
-    """Ridge regression W = D X (X'X + 2 lam I)^-1 (ablation-b): one solve, or
-    the W-steps' ridge start at lam = 0 (whose rank check names a singular
-    X'X) and where lam is too small to lift X'X's null space in floating point."""
+def _ridge(gram, DX, lam: float, eigen):
+    """Ridge regression W = D X (X'X + 2 lam I)^-1 (ablation-b), from the Gram
+    X'X and DX = D X: one solve, or the ridge start in X'X's eigenbasis
+    ``eigen()`` at lam = 0 (whose rank check names a singular X'X) and where
+    lam is too small to lift X'X's null space in floating point."""
     if lam > 0.0:
-        M = X.T @ X + 2.0 * lam * np.eye(X.shape[1])
+        M = gram + 2.0 * lam * np.eye(len(gram))
         if not np.isfinite(M).all():
             raise ValueError("W-step system has non-finite entries")
         try:
-            return np.linalg.solve(M, (D @ X).T).T
+            return np.linalg.solve(M, DX.T).T
         except np.linalg.LinAlgError:
             pass
-    spectrum = _spectrum(X, D)
-    return _w_steps(spectrum, lam)[0] @ spectrum[1].T
+    s, V = eigen()
+    _check_rank(s, lam, "W-step")
+    return ((DX @ V) / (s + 2.0 * lam)) @ V.T
 
 
 def _instance_basis(X, D, L):
@@ -333,8 +330,8 @@ def fit(
 def _fit_split(X, D, runs, standardize_features: bool = True,
                add_bias: bool = True) -> List[FitResult]:
     """:func:`fit` for each (variant, hp) of ``runs`` on one X and D, bit for
-    bit.  The design, L per degradation, the instance basis and X'X's
-    eigendecomposition per distinct loop input are taken once."""
+    bit.  The design, its Gram X'X, L per degradation and the instance basis
+    are taken once, and X'X's eigendecomposition at most once, on first use."""
     if not isinstance(X, FeatureMatrix):
         X = FeatureMatrix(X)
     D = validate_distribution_matrix(D)
@@ -346,23 +343,24 @@ def _fit_split(X, D, runs, standardize_features: bool = True,
     if standardize_features:
         scaler = Standardizer(mean=X.data.mean(axis=0), std=X.data.std(axis=0))
     Xw, Dw = _design(X.data, scaler, add_bias), D.data
-    bases, spectra, results = {}, {}, []
+    gram = Xw.T @ Xw
+    eigen = functools.cache(lambda: _eigh_psd(gram, "W-step"))
+    bases, results = {}, []
     for variant, hp in runs:
         variant = Variant(variant)
         if variant is Variant.ABLATION_B:
-            W = _ridge(Xw, Dw, hp.lam)
+            W = _ridge(gram, Dw @ Xw, hp.lam, eigen)
             P, iterations, primal, converged = W @ Xw.T, 0, 0.0, True
             trace = [_objective(W, P, P, Dw, 0.0, hp.lam)]
         else:
             key = (variant, hp.degradation if variant is Variant.FULL else None)
             if key not in bases:
                 L = degrade(D, hp.degradation).data if variant is Variant.FULL else None
-                bases[key] = _instance_basis(Xw, Dw, L)
-            Xb, Db, Lb = bases[key]
-            shared = "instances" if Xb is Xw else key   # b >= n: one X'X for all
-            if shared not in spectra:
-                spectra[shared] = _spectrum(Xb, Db)
-            W, iterations, primal, trace, converged = _admm(Xb, Db, Lb, hp, spectra[shared])
+                Xb, Db, Lb = _instance_basis(Xw, Dw, L)
+                s, V = eigen()
+                bases[key] = Db, Lb, (s, V, Xb @ V, (Db @ Xb) @ V)
+            Db, Lb, spectrum = bases[key]
+            W, iterations, primal, trace, converged = _admm(Db, Lb, hp, spectrum)
         model = LdlModel(W=W, variant=variant, hyperparams=hp,
                          standardizer=scaler, bias=add_bias)
         results.append(FitResult(model, iterations, primal, trace, converged))

@@ -4,8 +4,10 @@ import sys
 import numpy as np
 import pytest
 
-from ldlkit import (Dataset, FeatureMatrix, LabelDistributionMatrix, Variant, evaluate,
-                    fit, load_dataset, load_model, predict, save_dataset, synth_lowrank)
+from ldlkit import (Dataset, FeatureMatrix, LabelDistributionMatrix, TopKDegrade, Variant,
+                    evaluate, fit, load_dataset, load_model, predict, save_dataset,
+                    synth_lowrank)
+from ldlkit import cli
 from ldlkit.cli import main
 
 
@@ -97,12 +99,31 @@ def test_evaluate_on_another_label_count_names_both_counts(tmp_path, capsys, syn
     (["--n", "0"], "n, d, m, r must be positive, got 0, 20, 6, 2"),
     (["--noise", "nan"], "noise must be finite and nonnegative, got nan"),
     (["--noise", "inf"], "noise must be finite and nonnegative, got inf"),
+    (["--noise", "1e308"], "noise 1e+308 overflows the label scores"),
 ])
 def test_synth_names_the_bad_argument(tmp_path, capsys, args, message):
     out = tmp_path / "ds.txt"
     code, stdout, stderr = run(capsys, "synth", *args, "--out", str(out))
     assert (code, stdout, stderr) == (1, "", f"error: {message}\n")
     assert not out.exists()
+
+
+def test_synth_with_a_large_finite_noise_still_writes(tmp_path, capsys):
+    out = tmp_path / "ds.txt"
+    code, _, stderr = run(capsys, "synth", "--noise", "1e307", "--out", str(out))
+    assert (code, stderr) == (0, "")
+    assert load_dataset(out).n == 200
+
+
+def test_out_of_memory_is_a_one_line_error(monkeypatch, tmp_path, capsys):
+    message = "Unable to allocate 14.6 TiB for an array with shape (2, 1000000000000)"
+
+    def cmd_synth(args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "cmd_synth", cmd_synth)
+    code, stdout, stderr = run(capsys, "synth", "--out", str(tmp_path / "ds.txt"))
+    assert (code, stdout, stderr) == (1, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("spec, needs", [
@@ -246,6 +267,38 @@ def test_empty_variants_list_is_a_clean_error(capsys, synth_file, variants):
     assert code == 1
     assert stdout == ""
     assert stderr == f"error: --variants {variants!r} lists no variants\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--folds", "1"], "--folds must be at least 2, got 1"),
+    (["--variants", "full,bogus"], "--variants: 'bogus' is not a valid Variant; "
+                                   "choose from full, ablation-a, ablation-b"),
+    (["--grid", "beta=1"], "bad grid component 'beta=1'"),
+    (["--grid", ";"], "empty grid spec"),
+])
+def test_bad_cv_argument_is_named(capsys, synth_file, argv, message):
+    code, stdout, stderr = run(capsys, "cv", synth_file, "--folds", "3", *argv)
+    assert (code, stdout, stderr) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("holdout", ["1.5", "0", "1"])
+def test_holdout_outside_the_unit_interval_is_a_clean_error(capsys, synth_file, holdout):
+    code, stdout, stderr = run(capsys, "ablate", synth_file, "--holdout", holdout)
+    assert (code, stdout) == (1, "")
+    assert stderr == f"error: --holdout must lie in (0, 1), got {float(holdout)}\n"
+
+
+def test_topk_model_round_trips_through_train_and_evaluate(tmp_path, capsys, synth_file):
+    model_path = tmp_path / "topk.npz"
+    code, stdout, _ = run(capsys, "train", synth_file, "--model-out", str(model_path),
+                          "--degrade", "topk:2", "--format", "csv")
+    assert code == 0
+    assert load_model(model_path).hyperparams.degradation == TopKDegrade(2)
+    train_rows = stdout.splitlines()[2:8]
+    code, stdout, _ = run(capsys, "evaluate", synth_file, "--model", str(model_path),
+                          "--format", "csv")
+    assert code == 0
+    assert [row.replace("full[train]", "full") for row in train_rows] == stdout.splitlines()[1:]
 
 
 def csv_rows(capsys, *argv):

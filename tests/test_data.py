@@ -68,6 +68,9 @@ def test_malformed_header(tmp_path):
     with pytest.raises(ParseError) as exc:
         load_dataset(write(tmp_path, "h.txt", "3 2\n"))
     assert exc.value.line == 1
+    with pytest.raises(ParseError, match="header values must be positive, got '0 3 2'") as exc:
+        load_dataset(write(tmp_path, "zero.txt", "0 3 2\n"))
+    assert exc.value.line == 1
 
 
 def test_wrong_width_row(tmp_path):
@@ -152,6 +155,8 @@ def test_synth_rejects_bad_sizes():
     for noise in [np.nan, np.inf, -np.inf]:
         with pytest.raises(ValueError, match=f"noise must be finite and nonnegative, got {noise}"):
             synth_lowrank(10, 3, 4, 2, noise=noise)
+    with pytest.raises(ValueError, match=r"noise 1e\+308 overflows the label scores"):
+        synth_lowrank(10, 3, 4, 2, noise=1e308)
 
 
 def test_kfold_equal_sizes():

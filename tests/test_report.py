@@ -20,7 +20,7 @@ def sample_rows():
     ds = synth_lowrank(30, 4, 3, 2, 0.1, seed=0)
     rng = np.random.default_rng(1)
     pred = rng.dirichlet(np.ones(3), size=30).T
-    return report_rows(ds.name, "full", evaluate(ds.D.data, pred))
+    return report_rows(ds.name, "full", [evaluate(ds.D.data, pred)])
 
 
 def test_rows_cover_all_metrics_in_order():

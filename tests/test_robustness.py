@@ -154,6 +154,23 @@ def test_model_of_unknown_variant_is_a_clean_error(capsys, model_files):
     assert "'bogus' is not a valid Variant" in evaluate_error(capsys, tmp_path, path)
 
 
+def test_model_of_another_format_version_is_a_clean_error(capsys, model_files):
+    tmp_path, entries = model_files
+    entries["format_version"] = np.int64(2)
+    path = tmp_path / "v2.npz"
+    np.savez(path, **entries)
+    assert "unsupported model format version 2" in evaluate_error(capsys, tmp_path, path)
+
+
+def test_predict_rejects_non_finite_features():
+    ds = synth_lowrank(40, 5, 3, 2, 0.1, seed=0)
+    model = fit(ds.X, ds.D, variant="ablation-b").model
+    X = ds.X.data.copy()
+    X[7, 2] = np.nan
+    with pytest.raises(ValueError, match="features contain non-finite entries"):
+        predict(model, X)
+
+
 @pytest.mark.parametrize("variant", ["full", "ablation-a", "ablation-b"])
 def test_model_file_carrying_the_old_penalty_schedule_still_loads(tmp_path, variant):
     # Model files once also stored the coupling penalty's schedule, which is

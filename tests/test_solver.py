@@ -631,6 +631,24 @@ def test_sweep_ablate_and_grid_take_one_eigendecomposition_per_training_split(
     assert {shape for shape, _ in calls["qr"]} == {(rows, 2 * m), (inner_rows, 2 * m)}
 
 
+@pytest.mark.parametrize("argv", [
+    ["ablate"],
+    ["cv", "--variants", "full,ablation-a,ablation-b"],
+    ["cv", "--variants", "ablation-a,ablation-b", "--lambda", "0"],
+])
+def test_each_training_split_takes_one_eigendecomposition_when_b_is_below_n(
+        tmp_path, capsys, linalg_calls, argv):
+    # Each of the k training splits has 40 rows, above b = d + 1 + 2m = 11, so
+    # the full and ablation-a runs loop on R of their own QR; both, and
+    # ablation-b at lambda = 0, still share the one eigh of the split's X'X.
+    n, d, m, k = 60, 4, 3, 3
+    path = tmp_path / "tall.txt"
+    save_dataset(synth_lowrank(n, d, m, 2, 0.1, seed=0), path)
+    assert main([*argv, str(path), "--folds", str(k), "--max-iters", "5"]) == 0
+    capsys.readouterr()
+    assert linalg_calls["eigh"] == [(d + 1, d + 1)] * k
+
+
 @pytest.mark.parametrize("n", [40, 12, 9])    # full b = 6 + 8, ablation-a b = 6 + 4
 def test_runs_fit_together_on_one_split_equal_separate_fits(n):
     # solver._fit_split shares the design, L, the instance basis and the
@@ -664,8 +682,9 @@ def test_fit_on_the_instance_basis_matches_the_loop_on_all_instances(variant, ex
     ds = synth_lowrank(n, d, m, 2, 0.1, seed=n)
     hp = Hyperparams(alpha=alpha, lam=lam)
     L = degrade(ds.D, hp.degradation).data if full else None
-    spectrum = solver._spectrum(ds.X.data, ds.D.data)
-    W, iterations, primal, trace, converged = solver._admm(ds.X.data, ds.D.data, L, hp, spectrum)
+    X, D = ds.X.data, ds.D.data
+    s, V = solver._eigh_psd(X.T @ X, "W-step")
+    W, iterations, primal, trace, converged = solver._admm(D, L, hp, (s, V, X @ V, (D @ X) @ V))
     res = fit(ds.X, ds.D, hp, variant=variant, standardize_features=False, add_bias=False)
     assert (res.iterations_run, res.converged) == (iterations, converged)
     np.testing.assert_allclose(res.model.W, W, rtol=0, atol=1e-10)
