@@ -16,14 +16,25 @@ raises a ParseError naming the file, the line and, for a value, its column.
 
 Relative dataset paths that do not exist are also searched under the
 ``LDL_DATA_DIR`` environment variable.
+
+``load_dataset`` keeps each parse in a cache, ``$XDG_CACHE_HOME/ldlkit``
+(``~/.cache/ldlkit`` if unset), one ``.npz`` entry per resolved path.  An
+entry is used only if it holds the SHA-256 of ``PARSE_VERSION``, the format
+and the bytes just read, and arrays in the parser's dtype and memory order;
+anything else, a damaged or unwritable cache included, means a parse.  All
+validation runs on every load.  ``rm -r ~/.cache/ldlkit`` clears the cache.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
+import hashlib
 import io
+import json
 import math
 import os
 import re
+import tempfile
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -39,6 +50,9 @@ from .types import (
 )
 
 DATA_DIR_ENV = "LDL_DATA_DIR"
+# Part of every parse-cache digest: bump it when the parsers could return
+# other arrays for the same bytes, so that older entries miss.
+PARSE_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -103,15 +117,75 @@ def _is_csv(path) -> bool:
 
 def load_dataset(path) -> Dataset:
     """Load a dataset named after the file's stem, validating and (within
-    tolerance) renormalizing the distribution columns.  Toolkit errors name
-    the file; a ParseError keeps its ``line``."""
+    tolerance) renormalizing the distribution columns.  The file is read
+    once, and parsed only when the parse cache holds no entry for its bytes.
+    Toolkit errors name the file; a ParseError keeps its ``line``."""
     path = resolve_data_path(path)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    fmt = "CSV" if _is_csv(path) else "MatrixText"
+    sha = hashlib.sha256(f"{PARSE_VERSION} {fmt}\n".encode())
+    sha.update(data)
+    entry, digest = _cache_entry(path), sha.hexdigest()
     try:
-        X, D, labels = _load_csv(path) if _is_csv(path) else _load_matrix_text(path)
-        return Dataset(path.stem, FeatureMatrix(X), validate_distribution_matrix(D), labels)
+        parsed = _cache_read(entry, digest)
+        if parsed is None:
+            parsed = _load_csv(data) if fmt == "CSV" else _load_matrix_text(data)
+            _cache_write(entry, digest, *parsed)
+        X, Drows, labels = parsed
+        return Dataset(path.stem, FeatureMatrix(X), validate_distribution_matrix(Drows.T), labels)
     except LdlError as exc:
         exc.args = (f"{path}: {exc}",)
         raise
+
+
+def _cache_entry(path) -> Optional[Path]:
+    """The parse cache's one entry for the dataset file at ``path``, or None
+    when the cache directory would be a relative path (no home directory)."""
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    root = Path(base if os.path.isabs(base) else os.path.expanduser("~/.cache"))
+    key = hashlib.sha256(os.fsencode(path.resolve())).hexdigest()
+    return root / "ldlkit" / f"{key}.npz" if root.is_absolute() else None
+
+
+def _cache_read(entry, digest):
+    """The parse (X, Drows, labels) that ``entry`` holds for the bytes of
+    ``digest``, in the parser's dtype and memory order; None on a miss."""
+    if entry is None:
+        return None
+    # Whatever reading a missing, partial or damaged entry raises, the file is
+    # parsed instead: the cache never changes an outcome.
+    try:
+        with open(entry, "rb") as fh, np.load(fh, allow_pickle=False) as z:
+            if str(z["digest"]) != digest:
+                return None
+            X, Drows, labels = z["X"], z["Drows"], json.loads(str(z["labels"]))
+        if (X.dtype == Drows.dtype == np.float64 and X.ndim == Drows.ndim == 2
+                and X.flags.c_contiguous and Drows.flags.c_contiguous
+                and len(X) == len(Drows) and (labels is None or len(labels) == Drows.shape[1])):
+            return X, Drows, None if labels is None else tuple(labels)
+    except Exception:
+        pass
+    return None
+
+
+def _cache_write(entry, digest, X, Drows, labels) -> None:
+    """Publish an entry atomically, through a temporary file in the cache
+    directory; a cache that cannot be written is left as it was."""
+    if entry is None:
+        return
+    tmp = None
+    try:
+        entry.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=entry.parent)
+        with open(fd, "wb") as fh:
+            np.savez(fh, digest=np.str_(digest), X=X, Drows=Drows,
+                     labels=np.str_(json.dumps(labels)))
+        os.replace(tmp, entry)
+    except OSError:
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
 
 
 # loadtxt's notes on blank lines inside a block and on an exhausted file; the
@@ -119,13 +193,10 @@ def load_dataset(path) -> Dataset:
 _LOADTXT_NO_DATA = r"Input line \d+ contained no data|loadtxt: input contained no data"
 
 
-def _load_matrix_text(path):
-    """Read both blocks with numpy's C reader; a file that reader does not
-    take as exactly n rows of d and n rows of m finite values goes to the
-    line parser, which returns the same values or names the bad line.  The
-    file is read once, so both parse the same bytes, even from a pipe."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+def _load_matrix_text(data: bytes):
+    """Read both blocks of MatrixText bytes with numpy's C reader; bytes that
+    reader does not take as exactly n rows of d and n rows of m finite values
+    go to the line parser, which returns the same values or names the bad line."""
     try:
         with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as fh, \
                 warnings.catch_warnings():
@@ -145,7 +216,7 @@ def _load_matrix_text(path):
                 Drows = np.loadtxt(fh, ndmin=2, max_rows=n, comments=None)
                 if (X.shape == (n, d) and Drows.shape == (n, m) and not fh.read().strip()
                         and np.isfinite(X).all() and np.isfinite(Drows).all()):
-                    return X, Drows.T, None
+                    return X, Drows, None
     except (ParseError, ValueError, MemoryError):
         pass
     return _parse_matrix_text(data)
@@ -182,7 +253,7 @@ def _parse_matrix_text(data: bytes):
         raise ParseError(last, f"expected {2 * n} data lines, found {len(body)}")
     X = _parse_rows(body[:n], d, "feature value", "feature values")
     Drows = _parse_rows(body[n:], m, "distribution value", "distribution values")
-    return X, Drows.T, None
+    return X, Drows, None
 
 
 def _decode(data: bytes) -> str:
@@ -220,9 +291,8 @@ def _parse_rows(rows, width, value="value", unit="columns"):
     return out
 
 
-def _load_csv(path):
-    with open(path, "rb") as fh:
-        reader = csv.reader(io.StringIO(_decode(fh.read()), newline=""))
+def _load_csv(data: bytes):
+    reader = csv.reader(io.StringIO(_decode(data), newline=""))
     try:
         records = list(reader)
     except csv.Error as exc:
@@ -241,7 +311,8 @@ def _load_csv(path):
     if not rows:
         raise ParseError(2, "no data rows")
     values = _parse_rows(rows, d + m)
-    return values[:, :d], values[:, d:].T, tuple(names[d:])
+    return (np.ascontiguousarray(values[:, :d]), np.ascontiguousarray(values[:, d:]),
+            tuple(names[d:]))
 
 
 def save_dataset(ds: Dataset, path) -> None:

@@ -224,7 +224,10 @@ def _w_steps(spectrum, lam: float):
         F = np.sqrt(penalty) * XVU @ R.T
         Y = F / a[:, np.newaxis]
         core = np.eye(F.shape[1]) + F.T @ Y                 # symmetric
-        return Z - np.linalg.solve(core, (Z @ F).T).T @ Y.T
+        try:
+            return Z - np.linalg.solve(core, (Z @ F).T).T @ Y.T
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystem("W-step system is numerically singular") from exc
 
     return DXV / a, step
 
@@ -341,7 +344,8 @@ def _fit_split(X, D, runs, standardize_features: bool = True,
         )
     scaler = None
     if standardize_features:
-        scaler = Standardizer(mean=X.data.mean(axis=0), std=X.data.std(axis=0))
+        with np.errstate(over="ignore", invalid="ignore"):   # Standardizer names the feature
+            scaler = Standardizer(mean=X.data.mean(axis=0), std=X.data.std(axis=0))
     Xw, Dw = _design(X.data, scaler, add_bias), D.data
     gram = Xw.T @ Xw
     eigen = functools.cache(lambda: _eigh_psd(gram, "W-step"))
@@ -422,6 +426,12 @@ def save_model(model: LdlModel, path) -> None:
         np.savez(fh, **arrays)
 
 
+# What numpy and zipfile raise for a damaged archive or member: a bad CRC,
+# header or record, a cut-off file, or a flag for an unsupported zip version,
+# compression method or encryption.
+_DAMAGED_ZIP = (ValueError, EOFError, NotImplementedError, RuntimeError, zipfile.BadZipFile)
+
+
 def load_model(path) -> LdlModel:
     """Load a model written by :func:`save_model`.
 
@@ -432,7 +442,7 @@ def load_model(path) -> LdlModel:
     with open(path, "rb") as fh:
         try:
             archive = np.load(fh, allow_pickle=False)
-        except (ValueError, EOFError, zipfile.BadZipFile):
+        except _DAMAGED_ZIP:
             archive = None
         if not isinstance(archive, np.lib.npyio.NpzFile):
             raise ValueError(f"{path} is not an ldlkit model file")
@@ -451,7 +461,7 @@ def _model_from_archive(z) -> LdlModel:
             raise ValueError(f"model file has no {key!r} entry")
         try:
             return z[key]
-        except ValueError as exc:
+        except _DAMAGED_ZIP as exc:
             raise ValueError(f"model entry {key!r} cannot be read: {exc}") from None
 
     def scalar(key):

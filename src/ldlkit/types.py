@@ -233,11 +233,22 @@ class Hyperparams:
 class Standardizer:
     """Per-feature z-score parameters recorded at fit time.
 
-    Zero-variance features are mapped to 0 rather than divided by 0.
+    Zero-variance features are mapped to 0 rather than divided by 0.  A
+    non-finite mean or std (a feature whose values overflow) is a ValueError
+    naming the feature's 1-based column.
     """
 
     mean: np.ndarray
     std: np.ndarray
+
+    def __post_init__(self):
+        for name in ("mean", "std"):
+            values = np.asarray(getattr(self, name), dtype=np.float64)
+            bad = np.flatnonzero(~np.isfinite(values))
+            if bad.size:
+                raise ValueError(f"feature column {bad[0] + 1} overflows standardization: "
+                                 f"its {name} is {values.flat[bad[0]]}")
+            object.__setattr__(self, name, values)
 
     def transform(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)

@@ -425,3 +425,155 @@ def test_csv_skips_blank_records(tmp_path):
     np.testing.assert_array_equal(ds.X.data, [[0.5], [0.25]])
     np.testing.assert_array_equal(ds.D.data, [[1.0, 1.0]])
     assert ds.label_names == ("y1",)
+
+
+# The parse cache; each test has its own, empty one (see conftest.py).
+def _no_parse(monkeypatch):
+    def fail(data):
+        raise AssertionError("a cache hit parsed the file")
+
+    monkeypatch.setattr(dio, "_load_matrix_text", fail)
+    monkeypatch.setattr(dio, "_load_csv", fail)
+
+
+def _assert_same_arrays(a, b):
+    for x, y in ((a.X.data, b.X.data), (a.D.data, b.D.data)):
+        assert x.dtype == y.dtype and x.shape == y.shape and x.strides == y.strides
+        assert x.tobytes() == y.tobytes()
+
+
+LABELED_CSV = 'f1,f2,calm,"joy, mild",z\x00\n1,-0.0,0.5,0.25,0.25\n3e-300,4,1,0,0\n'
+
+
+@pytest.mark.parametrize("name", ["hit.txt", "hit.csv"])
+def test_a_cache_hit_is_the_parse_bit_for_bit(tmp_path, monkeypatch, parse_cache, name):
+    path = tmp_path / name
+    save_dataset(synth_lowrank(30, 4, 3, 2, 0.1, seed=3), path)
+    cold = load_dataset(path)
+    assert len(list(parse_cache.glob("*.npz"))) == 1
+    _no_parse(monkeypatch)
+    warm = load_dataset(path)
+    _assert_same_arrays(cold, warm)
+    assert cold.D.data.flags.f_contiguous and warm.label_names == cold.label_names
+
+
+def test_csv_label_names_survive_a_hit(tmp_path, monkeypatch):
+    path = write(tmp_path, "labels.csv", LABELED_CSV)
+    cold = load_dataset(path)
+    _no_parse(monkeypatch)
+    warm = load_dataset(path)
+    assert warm.label_names == cold.label_names == ("calm", "joy, mild", "z\x00")
+    _assert_same_arrays(cold, warm)
+
+
+def test_changed_bytes_or_parser_version_are_parsed_again(tmp_path, monkeypatch,
+                                                           parse_cache):
+    path = write(tmp_path, "tiny.txt", MATRIX_TEXT)
+    load_dataset(path)
+    write(tmp_path, "tiny.txt", MATRIX_TEXT.replace("5.0 6.0", "5.0 6.5"))
+    np.testing.assert_array_equal(load_dataset(path).X.data[2], [5.0, 6.5])
+    assert len(list(parse_cache.glob("*.npz"))) == 1   # one entry per file
+    calls, parse = [], dio._load_matrix_text
+    monkeypatch.setattr(dio, "_load_matrix_text", lambda data: calls.append(1) or parse(data))
+    load_dataset(path)
+    assert calls == []
+    monkeypatch.setattr(dio, "PARSE_VERSION", dio.PARSE_VERSION + 1)
+    load_dataset(path)
+    assert calls == [1]
+
+
+def _damage(entry, how):
+    data = entry.read_bytes()
+    if how == "truncated":
+        entry.write_bytes(data[:len(data) // 2])
+    elif how == "flipped":
+        middle = len(data) // 2
+        entry.write_bytes(data[:middle] + bytes([data[middle] ^ 0xFF]) + data[middle + 1:])
+    elif how == "garbage":
+        entry.write_bytes(b"PK\x03\x04garbage")
+    elif how == "array":
+        with open(entry, "wb") as fh:
+            np.save(fh, np.eye(3))
+    else:
+        with np.load(entry) as z:
+            entries = dict(z)
+        if how == "missing key":
+            del entries["Drows"]
+        elif how == "fortran order":
+            entries["X"] = np.asfortranarray(entries["X"])
+        elif how == "float32":
+            entries["Drows"] = entries["Drows"].astype(np.float32)
+        with open(entry, "wb") as fh:
+            np.savez(fh, **entries)
+
+
+@pytest.mark.parametrize("how", ["truncated", "flipped", "garbage", "array", "missing key",
+                                 "fortran order", "float32"])
+def test_a_damaged_entry_is_parsed_again_silently(tmp_path, parse_cache, how):
+    path = tmp_path / "ds.txt"
+    save_dataset(synth_lowrank(30, 4, 3, 2, 0.1, seed=3), path)
+    cold = load_dataset(path)
+    (entry,) = parse_cache.glob("*.npz")
+    _damage(entry, how)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _assert_same_arrays(cold, load_dataset(path))
+        _assert_same_arrays(cold, load_dataset(path))   # from the rewritten entry
+
+
+def test_an_unwritable_cache_is_passed_over_silently(tmp_path, monkeypatch, parse_cache):
+    path = write(tmp_path, "tiny.txt", MATRIX_TEXT)
+    expected = load_dataset(path)
+
+    def refuse(*args, **kwargs):
+        raise PermissionError(13, "Permission denied")
+
+    for target, name in [(dio.tempfile, "mkstemp"), (dio.os, "replace")]:
+        with monkeypatch.context() as mp, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mp.setattr(target, name, refuse)
+            for entry in parse_cache.iterdir():
+                entry.unlink()
+            _assert_same_arrays(expected, load_dataset(path))
+            assert list(parse_cache.iterdir()) == []     # no entry, no temporary file
+    parse_cache.rmdir()
+    parse_cache.write_bytes(b"")                           # the cache directory is a file
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _assert_same_arrays(expected, load_dataset(path))
+
+
+def test_a_parse_error_is_raised_again_and_leaves_no_entry(tmp_path, parse_cache):
+    path = write(tmp_path, "bad.txt", MALFORMED["bad_feature"][0])
+    for _ in range(2):
+        with pytest.raises(ParseError, match="line 4: non-numeric feature value 'x'"):
+            load_dataset(path)
+    assert not parse_cache.exists() or list(parse_cache.iterdir()) == []
+
+
+def test_validation_runs_on_every_hit(tmp_path, monkeypatch):
+    path = write(tmp_path, "warn.txt", MATRIX_TEXT.replace("0.7 0.3", "0.70000003 0.3"))
+    bad = write(tmp_path, "sums.txt", MATRIX_TEXT.replace("0.7 0.3", "0.68 0.3"))
+    with pytest.warns(UserWarning, match="renormalized 1 column"):
+        cold = load_dataset(path)
+    with pytest.raises(ColumnNotSimplex):
+        load_dataset(bad)
+    _no_parse(monkeypatch)
+    with pytest.warns(UserWarning, match="renormalized 1 column"):
+        warm = load_dataset(path)
+    _assert_same_arrays(cold, warm)
+    with pytest.raises(ColumnNotSimplex, match="sums.txt: 1 column"):
+        load_dataset(bad)
+
+
+def test_relative_cache_paths_are_not_used(tmp_path, monkeypatch):
+    # XDG base directories must be absolute; with no absolute home either,
+    # nothing is cached, rather than cached under the working directory.
+    path = write(tmp_path, "tiny.txt", MATRIX_TEXT)
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    monkeypatch.setenv("XDG_CACHE_HOME", "cache")
+    monkeypatch.setenv("HOME", "home")
+    assert load_dataset(path).n == 3
+    assert list(work.iterdir()) == []

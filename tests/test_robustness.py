@@ -1,13 +1,16 @@
 """Bad input fails early with an error that names the culprit."""
+import io
 import re
+import struct
 import warnings
+import zipfile
 
 import numpy as np
 import pytest
 
-from ldlkit import (Hyperparams, fit, load_model, predict, save_dataset, save_model, solver,
-                    synth_lowrank)
-from ldlkit.errors import NonFiniteIterate, ShapeMismatch
+from ldlkit import (Dataset, FeatureMatrix, Hyperparams, fit, load_model, predict, save_dataset,
+                    save_model, solver, synth_lowrank)
+from ldlkit.errors import NonFiniteIterate, ShapeMismatch, SingularSystem
 from ldlkit.cli import main
 
 
@@ -50,6 +53,26 @@ def test_overflowing_iterate_is_a_typed_error(monkeypatch, variant, schedule):
             pytest.raises(NonFiniteIterate, match=r"not finite at iteration \d+ "):
         warnings.simplefilter("error")              # the typed error is the only report
         fit(ds.X, ds.D, hp, variant)
+
+
+def test_singular_w_step_core_is_a_typed_error():
+    # I + F'Y is SPD in exact arithmetic; at this scale round-off makes it singular.
+    ds = synth_lowrank(2, 4, 2, 1, 0.1, seed=1)
+    X = ds.X.data.copy()
+    X[1] *= 7.5e29
+    with pytest.raises(SingularSystem, match="W-step system is numerically singular"):
+        fit(X, ds.D, Hyperparams(lam=1e-6), standardize_features=False)
+
+
+def test_feature_overflowing_standardization_is_a_clean_error(capsys, tmp_path):
+    ds = synth_lowrank(40, 5, 3, 2, 0.1, seed=0)
+    X = ds.X.data.copy()
+    X[7, 2] = 1e160
+    save_dataset(Dataset(ds.name, FeatureMatrix(X), ds.D), tmp_path / "big.txt")
+    code = main(["train", str(tmp_path / "big.txt"), "--model-out", str(tmp_path / "m.npz")])
+    assert code == 1 and not (tmp_path / "m.npz").exists()
+    assert capsys.readouterr().err == (
+        "error: feature column 3 overflows standardization: its std is inf\n")
 
 
 @pytest.fixture()
@@ -144,6 +167,53 @@ def test_model_entry_of_python_objects_is_a_clean_error(capsys, model_files, key
     path = tmp_path / "objects.npz"
     np.savez(path, **entries)
     assert f"model entry {key!r} cannot be read" in evaluate_error(capsys, tmp_path, path)
+
+
+def _damaged_member(data: bytes, member: str, how: str) -> bytes:
+    """A saved model's bytes with one member damaged: its last data byte
+    flipped, or a field of its central-directory record overwritten."""
+    data = bytearray(data)
+    if how == "bad crc":
+        info = zipfile.ZipFile(io.BytesIO(bytes(data))).getinfo(member)
+        name_len, extra_len = struct.unpack_from("<HH", data, info.header_offset + 26)
+        end = info.header_offset + 30 + name_len + extra_len + info.compress_size
+        data[end - 1] ^= 0xFF
+        return bytes(data)
+    record = data.index(b"PK\x01\x02")
+    while data[record + 46:record + 46 + len(member)] != member.encode():
+        record = data.index(b"PK\x01\x02", record + 4)
+    offset, value = {"zip version": (6, 99), "encrypted": (8, 1), "compression": (10, 99)}[how]
+    struct.pack_into("<H", data, record + offset, value)
+    return bytes(data)
+
+
+@pytest.mark.parametrize("how, expected", [
+    ("bad crc", "model entry 'tol' cannot be read: Bad CRC-32 for file 'tol.npy'"),
+    ("encrypted", "model entry 'tol' cannot be read: File 'tol.npy' is encrypted"),
+    ("compression", "model entry 'tol' cannot be read: That compression method"),
+    ("zip version", "is not an ldlkit model file"),
+])
+def test_damaged_model_member_is_a_clean_error(capsys, model_files, how, expected):
+    tmp_path, _ = model_files
+    path = tmp_path / "damaged.npz"
+    path.write_bytes(_damaged_member((tmp_path / "good.npz").read_bytes(), "tol.npy", how))
+    assert expected in evaluate_error(capsys, tmp_path, path)
+
+
+@pytest.mark.parametrize("key, value, expected", [
+    ("feature_std", np.inf, "feature column 2 overflows standardization: its std is inf"),
+    ("feature_mean", np.nan, "feature column 2 overflows standardization: its mean is nan"),
+])
+def test_model_with_non_finite_standardizer_is_a_clean_error(capsys, model_files, key, value,
+                                                             expected):
+    tmp_path, entries = model_files
+    entries[key] = entries[key].copy()
+    entries[key][1] = value
+    path = tmp_path / "scaler.npz"
+    np.savez(path, **entries)
+    with pytest.raises(ValueError, match=re.escape(expected)):
+        load_model(path)
+    assert expected in evaluate_error(capsys, tmp_path, path)
 
 
 def test_model_of_unknown_variant_is_a_clean_error(capsys, model_files):
