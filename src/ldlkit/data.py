@@ -5,8 +5,10 @@ Two on-disk formats are supported, told apart by the path's suffix:
 * ``MatrixText`` -- a header line ``n d m`` followed by n whitespace-separated
   feature rows (d values each) and n distribution rows (m values each).
   Written with 17 significant digits so round-trips are bit-exact.  Read
-  with numpy's C reader; a file it does not take as finite rows of the
-  header's widths is parsed again line by line, only to name the bad line.
+  by one reader: the text is split into lines once, blank lines are skipped,
+  and each block's lines go to numpy's C reader; a block it does not take as
+  finite rows of the header's width is parsed again token by token, which
+  returns the same values or names the bad line.
 * ``Csv`` -- a header row ``f1..fd,y1..ym`` and one instance per row, in a
   file whose suffix is ``.csv`` in any case; every other path is MatrixText.
 
@@ -22,7 +24,8 @@ Relative dataset paths that do not exist are also searched under the
 entry is used only if it holds the SHA-256 of ``PARSE_VERSION``, the format
 and the bytes just read, and arrays in the parser's dtype and memory order;
 anything else, a damaged or unwritable cache included, means a parse.  All
-validation runs on every load.  ``rm -r ~/.cache/ldlkit`` clears the cache.
+validation runs on every load.  The cache keeps the ``_CACHE_ENTRIES`` most
+recently used entries.  ``rm -r ~/.cache/ldlkit`` clears it.
 """
 from __future__ import annotations
 
@@ -35,7 +38,7 @@ import math
 import os
 import re
 import tempfile
-import warnings
+import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Tuple
@@ -53,6 +56,9 @@ DATA_DIR_ENV = "LDL_DATA_DIR"
 # Part of every parse-cache digest: bump it when the parsers could return
 # other arrays for the same bytes, so that older entries miss.
 PARSE_VERSION = 1
+# Entries the parse cache keeps; publishing one removes the least recently
+# used beyond this many.
+_CACHE_ENTRIES = 16
 
 
 @dataclass(frozen=True)
@@ -163,6 +169,8 @@ def _cache_read(entry, digest):
         if (X.dtype == Drows.dtype == np.float64 and X.ndim == Drows.ndim == 2
                 and X.flags.c_contiguous and Drows.flags.c_contiguous
                 and len(X) == len(Drows) and (labels is None or len(labels) == Drows.shape[1])):
+            with contextlib.suppress(OSError):
+                _touch(entry)                       # now the most recently used
             return X, Drows, None if labels is None else tuple(labels)
     except Exception:
         pass
@@ -181,45 +189,52 @@ def _cache_write(entry, digest, X, Drows, labels) -> None:
         with open(fd, "wb") as fh:
             np.savez(fh, digest=np.str_(digest), X=X, Drows=Drows,
                      labels=np.str_(json.dumps(labels)))
+        _touch(tmp)
         os.replace(tmp, entry)
     except OSError:
         if tmp is not None:
             with contextlib.suppress(OSError):
                 os.unlink(tmp)
+    else:
+        _cache_trim(entry.parent)
 
 
-# loadtxt's notes on blank lines inside a block and on an exhausted file; the
-# shape checks in _load_matrix_text cover both.
-_LOADTXT_NO_DATA = r"Input line \d+ contained no data|loadtxt: input contained no data"
+def _touch(path) -> None:
+    """Set ``path``'s times to now, in nanoseconds: file systems stamp a
+    write from a coarser clock, which would tie entries written in a row."""
+    now = time.time_ns()
+    os.utime(path, ns=(now, now))
+
+
+def _cache_trim(root) -> None:
+    """Remove the least recently used entries beyond ``_CACHE_ENTRIES``; an
+    entry that another process removes first is passed over."""
+    aged = []
+    with contextlib.suppress(OSError):
+        for entry in root.glob("*.npz"):
+            with contextlib.suppress(OSError):
+                aged.append((entry.stat().st_mtime_ns, entry))
+    for _, entry in sorted(aged)[:-_CACHE_ENTRIES]:
+        with contextlib.suppress(OSError):
+            entry.unlink()
 
 
 def _load_matrix_text(data: bytes):
-    """Read both blocks of MatrixText bytes with numpy's C reader; bytes that
-    reader does not take as exactly n rows of d and n rows of m finite values
-    go to the line parser, which returns the same values or names the bad line."""
-    try:
-        with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as fh, \
-                warnings.catch_warnings():
-            warnings.filterwarnings("ignore", _LOADTXT_NO_DATA, UserWarning)
-            lineno, header = 0, ""
-            while not header:
-                raw = fh.readline()
-                if not raw:
-                    raise ParseError(1, "empty file")
-                lineno, header = lineno + 1, raw.strip()
-            n, d, m = _parse_header(lineno, header)
-            # loadtxt allocates max_rows rows up front (MemoryError when the
-            # first row is far wider than d + m) and takes no n beyond int64;
-            # a file with fewer bytes than values is malformed anyway.
-            if n * (d + m) <= len(data):
-                X = np.loadtxt(fh, ndmin=2, max_rows=n, comments=None)
-                Drows = np.loadtxt(fh, ndmin=2, max_rows=n, comments=None)
-                if (X.shape == (n, d) and Drows.shape == (n, m) and not fh.read().strip()
-                        and np.isfinite(X).all() and np.isfinite(Drows).all()):
-                    return X, Drows, None
-    except (ParseError, ValueError, MemoryError):
-        pass
-    return _parse_matrix_text(data)
+    """Parse MatrixText bytes: the header, then exactly 2n non-blank lines,
+    whose blocks go to ``_read_block``.  Raises ParseError naming the first
+    bad line (and, for a bad value, its 1-based column)."""
+    rows = [(lineno, line) for lineno, raw in
+            enumerate(_universal_newlines(_decode(data)).split("\n"), start=1)
+            if (line := raw.strip())]
+    if not rows:
+        raise ParseError(1, "empty file")
+    lineno, header = rows[0]
+    n, d, m = _parse_header(lineno, header)
+    if len(rows) != 2 * n + 1:
+        raise ParseError(rows[-1][0], f"expected {2 * n} data lines, found {len(rows) - 1}")
+    X = _read_block(rows[1:n + 1], d, "feature value", "feature values")
+    Drows = _read_block(rows[n + 1:], m, "distribution value", "distribution values")
+    return X, Drows, None
 
 
 def _parse_header(lineno, header):
@@ -235,25 +250,18 @@ def _parse_header(lineno, header):
     return n, d, m
 
 
-def _parse_matrix_text(data: bytes):
-    """Parse MatrixText bytes line by line with ``float()``; raises ParseError
-    naming the first bad line (and, for a bad value, its 1-based column)."""
-    rows = []
-    for lineno, raw in enumerate(_universal_newlines(_decode(data)).split("\n"), start=1):
-        line = raw.strip()
-        if line:
-            rows.append((lineno, line))
-    if not rows:
-        raise ParseError(1, "empty file")
-    lineno, header = rows[0]
-    n, d, m = _parse_header(lineno, header)
-    body = [(ln, line.split()) for ln, line in rows[1:]]
-    if len(body) != 2 * n:
-        last = body[-1][0] if body else lineno
-        raise ParseError(last, f"expected {2 * n} data lines, found {len(body)}")
-    X = _parse_rows(body[:n], d, "feature value", "feature values")
-    Drows = _parse_rows(body[n:], m, "distribution value", "distribution values")
-    return X, Drows, None
+def _read_block(rows, width, value, unit):
+    """The ``(line, text)`` rows of one block as a (len(rows), width) array,
+    read by numpy's C reader; rows it does not take as exactly that many
+    finite values go to ``_parse_rows``, which returns the same values or
+    names the bad line."""
+    try:
+        block = np.loadtxt([line for _, line in rows], ndmin=2, comments=None)
+        if block.shape == (len(rows), width) and np.isfinite(block).all():
+            return block
+    except ValueError:
+        pass
+    return _parse_rows([(lineno, line.split()) for lineno, line in rows], width, value, unit)
 
 
 def _decode(data: bytes) -> str:
@@ -268,7 +276,7 @@ def _decode(data: bytes) -> str:
 
 def _universal_newlines(text: str) -> str:
     """``text`` with line ends as a text-mode file reads them: CRLF and CR become LF."""
-    return text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 def _parse_rows(rows, width, value="value", unit="columns"):

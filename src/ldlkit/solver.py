@@ -281,11 +281,8 @@ def _ridge(gram, DX, lam: float, eigen):
     ``eigen()`` at lam = 0 (whose rank check names a singular X'X) and where
     lam is too small to lift X'X's null space in floating point."""
     if lam > 0.0:
-        M = gram + 2.0 * lam * np.eye(len(gram))
-        if not np.isfinite(M).all():
-            raise ValueError("W-step system has non-finite entries")
         try:
-            return np.linalg.solve(M, DX.T).T
+            return np.linalg.solve(gram + 2.0 * lam * np.eye(len(gram)), DX.T).T
         except np.linalg.LinAlgError:
             pass
     s, V = eigen()
@@ -347,7 +344,12 @@ def _fit_split(X, D, runs, standardize_features: bool = True,
         with np.errstate(over="ignore", invalid="ignore"):   # Standardizer names the feature
             scaler = Standardizer(mean=X.data.mean(axis=0), std=X.data.std(axis=0))
     Xw, Dw = _design(X.data, scaler, add_bias), D.data
-    gram = Xw.T @ Xw
+    with np.errstate(over="ignore", invalid="ignore"):   # the check below names the feature
+        gram = Xw.T @ Xw
+    bad = np.flatnonzero(~np.isfinite(np.diagonal(gram)))
+    if bad.size:
+        raise ValueError(f"feature column {bad[0] + 1} overflows X'X: "
+                         f"its sum of squares is {gram[bad[0], bad[0]]}")
     eigen = functools.cache(lambda: _eigh_psd(gram, "W-step"))
     bases, results = {}, []
     for variant, hp in runs:

@@ -214,6 +214,9 @@ class Hyperparams:
             raise ValueError(f"alpha must be nonnegative, got {self.alpha}")
         if self.lam < 0:
             raise ValueError(f"lambda must be nonnegative, got {self.lam}")
+        if self.lam > np.finfo(np.float64).max / 2:          # the solvers add 2 lambda I
+            raise ValueError(f"lambda must be at most {np.finfo(np.float64).max / 2:g}, "
+                             f"got {self.lam:g}")
         if not isinstance(self.degradation, (ThresholdDegrade, TopKDegrade)):
             raise TypeError("degradation must be ThresholdDegrade or TopKDegrade")
         try:

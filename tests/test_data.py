@@ -297,7 +297,7 @@ def test_matrix_text_variants_parse_like_float(tmp_path, case):
 
 @pytest.mark.parametrize("case", [*WELL_FORMED, "saved"])
 def test_well_formed_matrix_text_skips_line_parser(tmp_path, monkeypatch, case):
-    def fail(data):
+    def fail(*args):
         raise AssertionError("well-formed file reached the line parser")
 
     path = tmp_path / "v.txt"
@@ -305,7 +305,7 @@ def test_well_formed_matrix_text_skips_line_parser(tmp_path, monkeypatch, case):
         save_dataset(synth_lowrank(30, 4, 3, 2, 0.1, seed=0), path)
     else:
         path.write_bytes(WELL_FORMED[case][0].encode("utf-8"))
-    monkeypatch.setattr(dio, "_parse_matrix_text", fail)
+    monkeypatch.setattr(dio, "_parse_rows", fail)
     load_dataset(path)
 
 
@@ -323,6 +323,8 @@ MALFORMED = {
     "short_row": (MATRIX_TEXT.replace("3.0 4.0", "3.0"), 3, "expected 2 feature values, got 1"),
     "long_row": (MATRIX_TEXT.replace("0.2 0.8", "0.2 0.8 0.0"), 6,
                  "expected 2 distribution values, got 3"),
+    "wide_block": (MATRIX_TEXT.replace(".0\n", ".0 0\n"), 2,
+                   "expected 2 feature values, got 3"),
     "bad_feature": (MATRIX_TEXT.replace("5.0 6.0", "5.0 x"), 4,
                     "non-numeric feature value 'x' in column 2"),
     "bad_distribution": (MATRIX_TEXT.replace("0.2 0.8", "abc 0.8"), 6,
@@ -577,3 +579,25 @@ def test_relative_cache_paths_are_not_used(tmp_path, monkeypatch):
     monkeypatch.setenv("HOME", "home")
     assert load_dataset(path).n == 3
     assert list(work.iterdir()) == []
+
+
+def test_the_cache_keeps_its_most_recently_used_entries(tmp_path, monkeypatch, parse_cache):
+    n = dio._CACHE_ENTRIES
+    paths = [write(tmp_path, f"t{i}.txt", MATRIX_TEXT) for i in range(n + 2)]
+    for path in paths[:n]:
+        load_dataset(path)
+    load_dataset(paths[0])                                 # a hit: now the most recent
+    for path in paths[n:]:
+        load_dataset(path)
+    kept = {dio._cache_entry(p) for p in [paths[0], *paths[3:]]}
+    assert set(parse_cache.glob("*.npz")) == kept
+    assert len({entry.stat().st_mtime_ns for entry in kept}) == n   # no ties
+    _no_parse(monkeypatch)
+
+    def refuse(*args, **kwargs):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(dio.os, "utime", refuse)           # a hit stays a hit
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert load_dataset(paths[0]).n == 3

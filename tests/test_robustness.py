@@ -1,5 +1,6 @@
 """Bad input fails early with an error that names the culprit."""
 import io
+import random
 import re
 import struct
 import warnings
@@ -8,8 +9,8 @@ import zipfile
 import numpy as np
 import pytest
 
-from ldlkit import (Dataset, FeatureMatrix, Hyperparams, fit, load_model, predict, save_dataset,
-                    save_model, solver, synth_lowrank)
+from ldlkit import (Dataset, FeatureMatrix, Hyperparams, fit, load_dataset, load_model, predict,
+                    save_dataset, save_model, solver, synth_lowrank)
 from ldlkit.errors import NonFiniteIterate, ShapeMismatch, SingularSystem
 from ldlkit.cli import main
 
@@ -25,6 +26,15 @@ from ldlkit.cli import main
 def test_hyperparams_reject_non_finite_values(field, value, name):
     with pytest.raises(ValueError, match=name):
         Hyperparams(**{field: value})
+
+
+@pytest.mark.parametrize("value", [1e308, np.float64(9e307)])
+def test_hyperparams_reject_a_lambda_whose_double_overflows(value):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"lambda must be at most 8.98847e\+307, got "):
+            Hyperparams(lam=value)
+    assert Hyperparams(lam=8.9e307).lam == 8.9e307
 
 
 @pytest.mark.parametrize("value", [2.5, np.nan, np.inf, "5", None])
@@ -73,6 +83,25 @@ def test_feature_overflowing_standardization_is_a_clean_error(capsys, tmp_path):
     assert code == 1 and not (tmp_path / "m.npz").exists()
     assert capsys.readouterr().err == (
         "error: feature column 3 overflows standardization: its std is inf\n")
+
+
+@pytest.mark.parametrize("command", [["train", "--variant", "full"],
+                                     ["train", "--variant", "ablation-a"],
+                                     ["train", "--variant", "ablation-b"],
+                                     ["cv", "--folds", "2"]])
+def test_feature_overflowing_the_gram_is_a_clean_error(capsys, tmp_path, command):
+    ds = synth_lowrank(40, 5, 3, 2, 0.1, seed=0)
+    X = ds.X.data.copy()
+    X[:, 2] *= 1e160
+    save_dataset(Dataset(ds.name, FeatureMatrix(X), ds.D), tmp_path / "big.txt")
+    out = ["--model-out", str(tmp_path / "m.npz")] if command[0] == "train" else []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([command[0], str(tmp_path / "big.txt"), *command[1:], *out,
+                     "--no-standardize"])
+    assert code == 1 and not (tmp_path / "m.npz").exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: feature column 3 overflows X'X: ") and err.count("\n") == 1
 
 
 @pytest.fixture()
@@ -257,3 +286,80 @@ def test_model_file_carrying_the_old_penalty_schedule_still_loads(tmp_path, vari
     np.testing.assert_array_equal(back.W, model.W)
     assert back.hyperparams == model.hyperparams and back.variant is model.variant
     np.testing.assert_array_equal(predict(back, ds.X.data), predict(model, ds.X.data))
+
+
+# Seeded byte mutations of each kind of file a command reads.  Pieces that
+# readers treat specially (line ends, Unicode spaces, NUL, a non-UTF-8 byte,
+# digit separators, non-finite and huge values, comment marks) are spliced in,
+# alongside deletions and random bytes.
+_PIECES = [b"\r", b"\n", b"\x0b", b"\x0c", b"\x1c", "\u0085".encode(), "\u3000".encode(),
+           b"\x00", b"\xff", b"1_0", b"nan", b"1e400", b"e300", b"#", b" ", b"-", b"0", b","]
+
+
+def _mutate(rng, data):
+    data = bytearray(data)
+    for _ in range(rng.randint(1, 3)):
+        pos = rng.randrange(len(data) + 1)
+        piece = rng.choice(_PIECES) if rng.random() < 0.7 else bytes([rng.randrange(256)])
+        op = rng.randrange(3)
+        if op == 0:
+            data[pos:pos] = piece
+        elif op == 1:
+            del data[pos:pos + rng.randint(1, 4)]
+        else:
+            data[pos:pos + len(piece)] = piece
+    return bytes(data)
+
+
+def _run(capsys, argv):
+    """Run a command; it must exit 0, or 1 with exactly one ``error:`` line,
+    and warn of nothing but a renormalized distribution column."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "") or (
+        code == 1 and err.startswith("error: ") and err.count("\n") == 1), (argv, code, err)
+    assert all(str(w.message).startswith("renormalized ") for w in caught), caught
+    return out
+
+
+@pytest.mark.parametrize("kind, seed", [("model", 1), ("ds.txt", 2), ("ds.csv", 3),
+                                        ("cache entry", 4), ("scaled.txt", 5)])
+def test_mutated_files_end_in_a_result_or_one_error_line(capsys, tmp_path, parse_cache,
+                                                         kind, seed):
+    rng = random.Random(seed)
+    ds = synth_lowrank(20, 3, 3, 2, 0.1, seed=seed)
+    data, model = tmp_path / "ds.txt", tmp_path / "model.npz"
+    save_dataset(ds, data)
+    save_model(fit(ds.X, ds.D, variant="ablation-b").model, model)
+    fresh = load_dataset(data)
+    (entry,) = parse_cache.glob("*.npz")
+    expected = _run(capsys, ["degrade", str(data)])
+    target = {"model": model, "cache entry": entry}.get(kind, tmp_path / kind)
+    if kind.endswith((".txt", ".csv")):
+        save_dataset(ds, target)
+    original = target.read_bytes()
+    train = ["train", str(target), "--model-out", str(tmp_path / "out.npz")]
+    for case in range(100):
+        if kind == "scaled.txt":                    # one feature scaled by up to 1e199
+            X = ds.X.data.copy()
+            X[:, rng.randrange(ds.d)] *= 10.0 ** rng.randrange(200)
+            save_dataset(Dataset(ds.name, FeatureMatrix(X), ds.D), target)
+            _run(capsys, [*train, "--variant", rng.choice(["full", "ablation-a", "ablation-b"]),
+                          "--no-standardize", "--max-iters", "5"])
+            continue
+        mutated = _mutate(rng, original)
+        target.write_bytes(mutated)
+        if kind == "cache entry":
+            back = load_dataset(data)
+            for a, b in ((fresh.X.data, back.X.data), (fresh.D.data, back.D.data)):
+                assert (a.dtype, a.shape, a.strides, a.tobytes()) == \
+                    (b.dtype, b.shape, b.strides, b.tobytes())
+            entry.write_bytes(mutated)
+            assert _run(capsys, ["degrade", str(data)]) == expected
+        elif kind == "model":
+            _run(capsys, ["evaluate", str(data), "--model", str(model)])
+        else:
+            _run(capsys, [*train, "--variant", "ablation-b",
+                          *(["--no-standardize"] if case % 2 else [])])
