@@ -20,23 +20,25 @@ from . import data as dio
 from .degrade import degrade
 from .errors import LdlError, ShapeMismatch
 from .metrics import EvalReport, evaluate
-from .report import ResultRow, render, render_counts, report_rows
+from .report import ResultRow, render, render_counts, report_row
 from .solver import _fit_split, fit, load_model, predict, save_model
 from .types import Hyperparams, Variant, parse_degradation
 
 PARAM_GRID_DEFAULT = (0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 10.0)
+HP_DEFAULT = Hyperparams()
 
 Split = Tuple[np.ndarray, np.ndarray]
 Run = Tuple[str, Variant, Hyperparams]
 
 
 def _add_hp_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--alpha", type=float, default=0.1, help="nuclear-norm weight")
-    p.add_argument("--lambda", dest="lam", type=float, default=0.1, help="ridge weight")
-    p.add_argument("--degrade", dest="degrade_spec", default="threshold:0.5",
+    p.add_argument("--alpha", type=float, default=HP_DEFAULT.alpha, help="nuclear-norm weight")
+    p.add_argument("--lambda", dest="lam", type=float, default=HP_DEFAULT.lam,
+                   help="ridge weight")
+    p.add_argument("--degrade", dest="degrade_spec", default=str(HP_DEFAULT.degradation),
                    metavar="KIND:VALUE", help="threshold:T or topk:K")
-    p.add_argument("--max-iters", type=int, default=200)
-    p.add_argument("--tol", type=float, default=1e-5)
+    p.add_argument("--max-iters", type=int, default=HP_DEFAULT.max_iters)
+    p.add_argument("--tol", type=float, default=HP_DEFAULT.tol)
 
 
 def _add_common(p: argparse.ArgumentParser, variant: bool = True) -> None:
@@ -81,7 +83,7 @@ def _splits(n: int, folds: int, seed: int, holdout: Optional[float] = None) -> L
 
 def _rows(ds, runs: Sequence[Run], splits: Sequence[Split], fit_kwargs: dict,
           tune=None) -> List[ResultRow]:
-    """Each (tag, variant, hp) run's rows of test-set scores over the splits.
+    """Each (tag, variant, hp) run's row of test-set scores over the splits.
     A split's runs are fit together on its training part, which they share;
     ``tune(train, runs)`` picks the runs' hyperparameters from that part."""
     reports: List[List[EvalReport]] = [[] for _ in runs]
@@ -91,8 +93,8 @@ def _rows(ds, runs: Sequence[Run], splits: Sequence[Split], fit_kwargs: dict,
                              [(variant, hp) for _, variant, hp in split_runs], **fit_kwargs)
         for run_reports, res in zip(reports, results):
             run_reports.append(evaluate(ds.D.data[:, test], predict(res.model, ds.X.data[test])))
-    return [row for (tag, _, _), run_reports in zip(runs, reports)
-            for row in report_rows(ds.name, tag, run_reports)]
+    return [report_row(ds.name, tag, run_reports)
+            for (tag, _, _), run_reports in zip(runs, reports)]
 
 
 def _parse_values(text: str, what: str) -> Tuple[float, ...]:
@@ -143,7 +145,7 @@ def cmd_train(args) -> int:
     print(f"variant={args.variant} iterations={res.iterations_run} "
           f"residual={res.final_primal_residual:.6g} converged={conv}")
     pred = predict(res.model, ds.X.data)
-    rows = report_rows(ds.name, f"{args.variant}[train]", [evaluate(ds.D.data, pred)])
+    rows = [ResultRow(ds.name, f"{args.variant}[train]", evaluate(ds.D.data, pred))]
     print(render(rows, args.fmt), end="")
     print(f"model written to {args.model_out}")
     return 0
@@ -165,7 +167,7 @@ def cmd_evaluate(args) -> int:
     if ds.m != model.m:
         raise ShapeMismatch(f"model predicts {model.m} labels, but the dataset has {ds.m}")
     pred = predict(model, ds.X.data)
-    rows = report_rows(ds.name, model.variant.value, [evaluate(ds.D.data, pred)])
+    rows = [ResultRow(ds.name, model.variant.value, evaluate(ds.D.data, pred))]
     print(render(rows, args.fmt), end="")
     return 0
 
@@ -193,7 +195,7 @@ def cmd_cv(args) -> int:
             cands = [(tag, variant, replace(hp, alpha=a, lam=l)) for tag, variant, hp in runs
                      for a, l in itertools.product(grid.get("alpha", (hp.alpha,)),
                                                    grid.get("lambda", (hp.lam,)))]
-            kl = [row.mean for row in _rows(sub, cands, inner, fit_kwargs) if row.metric == "kl"]
+            kl = [row.scores.kl for row in _rows(sub, cands, inner, fit_kwargs)]
             per_run = len(cands) // len(runs)
             return [cands[start + int(np.argmin(kl[start:start + per_run]))]
                     for start in range(0, len(cands), per_run)]
@@ -304,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("degrade", help="degrade distributions to a multi-label matrix")
     p.add_argument("dataset")
-    p.add_argument("--degrade", dest="degrade_spec", default="threshold:0.5",
+    p.add_argument("--degrade", dest="degrade_spec", default=str(HP_DEFAULT.degradation),
                    metavar="KIND:VALUE")
     p.add_argument("--out", help="write the binary matrix to this file")
     p.add_argument("--format", dest="fmt", choices=["csv", "md"], default="md")

@@ -12,7 +12,6 @@ import numpy as np
 
 from .types import (
     Degradation,
-    LabelDistributionMatrix,
     MultiLabelMatrix,
     ThresholdDegrade,
     TopKDegrade,
@@ -20,50 +19,34 @@ from .types import (
 )
 
 
-def _desc_ranks(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per column: descending order (stable, so ties break toward the lower
-    index) and each label's rank in that order."""
-    order = np.argsort(-data, axis=0, kind="stable")
-    ranks = np.empty_like(order)
-    np.put_along_axis(ranks, order, np.arange(data.shape[0])[:, None], axis=0)
-    return order, ranks
-
-
 def threshold_degrade(D, t: float) -> MultiLabelMatrix:
     """Select labels per column in descending degree order until their mass
-    exceeds ``t`` (strictly; a running sum equal to ``t`` keeps selecting).
-
-    Parameters
-    ----------
-    D : LabelDistributionMatrix or (m, n) array
-    t : float in (0, 1)
-    """
-    D = validate_distribution_matrix(D)
-    ThresholdDegrade(t)  # reuse the range check
-    data = D.data
-    m = data.shape[0]
-    order, ranks = _desc_ranks(data)
-    cums = np.cumsum(np.take_along_axis(data, order, axis=0), axis=0)
-    # Number selected = 1 + number of prefix sums <= t, capped at m.
-    counts = np.minimum((cums <= t).sum(axis=0) + 1, m)
-    return MultiLabelMatrix((ranks < counts[np.newaxis, :]).astype(np.float64))
+    exceeds ``t`` in (0, 1) (strictly; a running sum equal to ``t`` keeps
+    selecting)."""
+    return degrade(D, ThresholdDegrade(t))
 
 
 def topk_degrade(D, k: int) -> MultiLabelMatrix:
     """Mark the ``k`` largest description degrees of each column as relevant."""
-    D = validate_distribution_matrix(D)
-    TopKDegrade(k)
-    data = D.data
-    if k > data.shape[0]:
-        raise ValueError(f"k={k} exceeds the label count m={data.shape[0]}")
-    _, ranks = _desc_ranks(data)
-    return MultiLabelMatrix((ranks < k).astype(np.float64))
+    return degrade(D, TopKDegrade(k))
 
 
 def degrade(D, setting: Degradation) -> MultiLabelMatrix:
-    """Apply a degradation setting (threshold or top-k) to ``D``."""
-    if isinstance(setting, ThresholdDegrade):
-        return threshold_degrade(D, setting.t)
+    """Apply a degradation setting (threshold or top-k) to ``D``: in each
+    column's stable descending order, the first c labels are relevant, where c
+    is k, or 1 + the number of prefix sums <= t, capped at m."""
+    if not isinstance(setting, (ThresholdDegrade, TopKDegrade)):
+        raise TypeError(f"unknown degradation setting {setting!r}")
+    data = validate_distribution_matrix(D).data
+    m = data.shape[0]
+    if isinstance(setting, TopKDegrade) and setting.k > m:
+        raise ValueError(f"k={setting.k} exceeds the label count m={m}")
+    order = np.argsort(-data, axis=0, kind="stable")
+    ranks = np.empty_like(order)
+    np.put_along_axis(ranks, order, np.arange(m)[:, None], axis=0)
     if isinstance(setting, TopKDegrade):
-        return topk_degrade(D, setting.k)
-    raise TypeError(f"unknown degradation setting {setting!r}")
+        counts = setting.k
+    else:
+        cums = np.cumsum(np.take_along_axis(data, order, axis=0), axis=0)
+        counts = np.minimum((cums <= setting.t).sum(axis=0) + 1, m)
+    return MultiLabelMatrix((ranks < counts).astype(np.float64))

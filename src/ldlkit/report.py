@@ -1,17 +1,19 @@
-"""Result-table emitters shared by the CLI and the evaluation module.
+"""Result tables shared by the CLI and the evaluation module.
 
-Long-form rows carry (dataset, variant, metric, mean, std).  The CSV and
-Markdown renderers format every number with 6 significant digits so the two
-views always agree; CSV output is byte-deterministic for fixed inputs.  A
-name holding a comma, quote or line break is quoted in CSV as ``csv.writer``
-quotes it, and a ``|`` is escaped in Markdown cells.
+A run's result is one :class:`ResultRow`: dataset, variant tag and an
+:class:`EvalReport`.  One writer, ``_table``, emits every table: CSV through
+``csv.writer``, which quotes a name holding a comma, quote or line break, and
+Markdown with ``|`` escaped in its cells.  A run is six CSV lines (metric, mean,
+std) and one Markdown line of mean±std cells; both format numbers with 6
+significant digits, so the two views always agree.  Output is byte-deterministic
+for fixed inputs.
 """
 from __future__ import annotations
 
 import csv
 import io
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -20,72 +22,56 @@ from .metrics import METRIC_NAMES, EvalReport
 
 @dataclass(frozen=True)
 class ResultRow:
+    """One run's scores on one dataset."""
+
     dataset: str
     variant: str
-    metric: str
-    mean: float
-    std: float
+    scores: EvalReport
 
 
 def fmt(value: float) -> str:
     return f"{value:.6g}"
 
 
-def report_rows(dataset: str, variant: str, reports: Sequence[EvalReport]) -> List[ResultRow]:
-    """One row per metric for a run's reports, one per split: the mean and std
-    of the split means, or one split's mean and std over its test instances."""
-    rows = []
-    for name in METRIC_NAMES:
-        means = np.array([rep.mean(name) for rep in reports])
-        std = reports[0].std(name) if len(reports) == 1 else np.std(means)
-        rows.append(ResultRow(dataset, variant, name, float(np.mean(means)), float(std)))
-    return rows
+def report_row(dataset: str, variant: str, reports: Sequence[EvalReport]) -> ResultRow:
+    """A run's row from its reports, one per split: one split's report as it
+    is, or each metric's mean and std of the split means."""
+    if len(reports) == 1:
+        return ResultRow(dataset, variant, reports[0])
+    means = [np.array([rep.mean(name) for rep in reports]) for name in METRIC_NAMES]
+    return ResultRow(dataset, variant, EvalReport(
+        *(float(np.mean(m)) for m in means), *(float(np.std(m)) for m in means),
+        n_evaluated=sum(rep.n_evaluated for rep in reports)))
 
 
-def render_csv(rows: Iterable[ResultRow]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["dataset", "variant", "metric", "mean", "std"])
-    for r in rows:
-        writer.writerow([r.dataset, r.variant, r.metric, fmt(r.mean), fmt(r.std)])
-    return out.getvalue()
-
-
-def render_markdown(rows: Sequence[ResultRow]) -> str:
-    """Wide table: one line per (dataset, variant), metric columns as mean±std."""
-    keys: List[Tuple[str, str]] = []
-    cells = {}
-    for r in rows:
-        key = (r.dataset, r.variant)
-        if key not in cells:
-            keys.append(key)
-            cells[key] = {}
-        cells[key][r.metric] = f"{fmt(r.mean)}±{fmt(r.std)}"
-    header = "| dataset | variant | " + " | ".join(METRIC_NAMES) + " |"
-    rule = "|" + "---|" * (2 + len(METRIC_NAMES))
-    lines = [header, rule]
-    for dataset, variant in keys:
-        row = cells[(dataset, variant)]
-        body = " | ".join(row.get(name, "") for name in METRIC_NAMES)
-        dataset, variant = (name.replace("|", "\\|") for name in (dataset, variant))
-        lines.append(f"| {dataset} | {variant} | {body} |")
-    return "\n".join(lines) + "\n"
+def _table(header: Sequence[str], rows: Iterable[Sequence[object]], fmt_name: str) -> str:
+    if fmt_name == "csv":
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        return out.getvalue()
+    if fmt_name == "md":
+        lines = ["| " + " | ".join(header) + " |", "|" + "---|" * len(header)]
+        lines += ["| " + " | ".join([str(c).replace("|", "\\|") for c in row]) + " |"
+                  for row in rows]
+        return "\n".join(lines) + "\n"
+    raise ValueError(f"unknown output format {fmt_name!r}")
 
 
 def render(rows: Sequence[ResultRow], fmt_name: str) -> str:
+    """CSV: one line per run and metric; Markdown: one line per run."""
     if fmt_name == "csv":
-        return render_csv(rows)
-    if fmt_name == "md":
-        return render_markdown(rows)
-    raise ValueError(f"unknown output format {fmt_name!r}")
+        header = ["dataset", "variant", "metric", "mean", "std"]
+        lines = [[r.dataset, r.variant, name, fmt(r.scores.mean(name)), fmt(r.scores.std(name))]
+                 for r in rows for name in METRIC_NAMES]
+    else:
+        header = ["dataset", "variant", *METRIC_NAMES]
+        lines = [[r.dataset, r.variant, *(f"{fmt(r.scores.mean(name))}±{fmt(r.scores.std(name))}"
+                                          for name in METRIC_NAMES)] for r in rows]
+    return _table(header, lines, fmt_name)
 
 
 def render_counts(counts: Sequence[int], fmt_name: str) -> str:
     """Per-instance positive-label counts (degrade command output)."""
-    if fmt_name == "csv":
-        lines = ["instance,positives"]
-        lines += [f"{i},{c}" for i, c in enumerate(counts)]
-        return "\n".join(lines) + "\n"
-    lines = ["| instance | positives |", "|---|---|"]
-    lines += [f"| {i} | {c} |" for i, c in enumerate(counts)]
-    return "\n".join(lines) + "\n"
+    return _table(["instance", "positives"], enumerate(counts), fmt_name)

@@ -4,9 +4,9 @@ import sys
 import numpy as np
 import pytest
 
-from ldlkit import (Dataset, FeatureMatrix, LabelDistributionMatrix, TopKDegrade, Variant,
-                    evaluate, fit, load_dataset, load_model, predict, save_dataset,
-                    synth_lowrank)
+from ldlkit import (Dataset, FeatureMatrix, Hyperparams, LabelDistributionMatrix, TopKDegrade,
+                    Variant, evaluate, fit, load_dataset, load_model, parse_degradation,
+                    predict, save_dataset, synth_lowrank)
 from ldlkit import cli
 from ldlkit.cli import main
 
@@ -459,3 +459,49 @@ def test_bad_value_or_byte_names_file_and_line(tmp_path, capsys, name):
     code, stdout, stderr = run(capsys, "degrade", str(bad))
     assert code == 1 and stdout == ""
     assert stderr == f"error: {bad}: {message}\n"
+
+
+@pytest.mark.parametrize("argv, tags", [
+    (["cv", "--variants", "full,full"], ["full", "full"]),
+    (["sweep", "--param", "alpha", "--values", "0.1,0.1"], ["full[alpha=0.1]"] * 2),
+])
+def test_runs_sharing_a_tag_keep_a_markdown_line_each(capsys, synth_file, argv, tags):
+    args = (argv[0], synth_file, *argv[1:], "--folds", "3")
+    code, md, _ = run(capsys, *args, "--format", "md")
+    assert code == 0
+    md_lines = md.splitlines()[2:]
+    records = csv_rows(capsys, *args)
+    assert [line.split(" | ")[1] for line in md_lines] == tags
+    assert len(records) == 12 and records[:6] == records[6:]
+    for line, run_records in zip(md_lines, (records[:6], records[6:])):
+        cells = [c.strip() for c in line.strip("|").split("|")][2:]
+        assert cells == [f"{mean}±{std}" for _, _, _, mean, std in run_records]
+
+
+@pytest.mark.parametrize("argv", [["train", "--model-out", "m.npz"], ["cv"], ["ablate"],
+                                  ["sweep", "--param", "alpha"]])
+def test_fitting_commands_default_to_the_default_hyperparameters(argv):
+    args = cli.build_parser().parse_args([argv[0], "ds.txt", *argv[1:]])
+    assert cli._hyperparams(args) == Hyperparams()
+
+
+def test_degrade_defaults_to_the_default_degradation():
+    args = cli.build_parser().parse_args(["degrade", "ds.txt"])
+    assert parse_degradation(args.degrade_spec) == Hyperparams().degradation
+
+
+def test_train_keeps_its_seed_flag():
+    args = cli.build_parser().parse_args(["train", "ds.txt", "--model-out", "m.npz",
+                                          "--seed", "7919"])
+    assert args.seed == 7919
+
+
+def test_failed_svd_is_one_error_line(monkeypatch, tmp_path, capsys, synth_file):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    code, stdout, stderr = run(capsys, "train", synth_file, "--model-out",
+                               str(tmp_path / "m.npz"))
+    assert (code, stdout) == (1, "")
+    assert stderr.startswith("error: SVD did not converge on a ") and stderr.count("\n") == 1

@@ -402,6 +402,10 @@ MALFORMED_CSV = {
     "nan": (CSV.replace(b"0.25", b"nan"), 3, "non-finite value 'nan' in column 1"),
     "overflow": (CSV.replace(b"0.5,1", b"0.5,1e400"), 2, "non-finite value '1e400' in column 2"),
     "header_only": (b"f1,y1\n", 2, "no data rows"),
+    "no_feature_column": (b"y1,y2\n0.5,0.5\n", 1,
+                          "header must name f1..fd then y1..ym columns, got ['y1', 'y2']"),
+    "no_label_column": (b"f1,f2\n0.5,0.5\n", 1,
+                        "header must name f1..fd then y1..ym columns, got ['f1', 'f2']"),
     "after_blank_records": (b"f1,y1\n\n , \n0.5,x\n", 4, "non-numeric value 'x' in column 2"),
     "huge_field": (b"f1,y1\n0.5,1\n" + b"1" * 200_000 + b",1\n", 3,
                    "field larger than field limit (131072)"),

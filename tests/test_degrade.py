@@ -114,3 +114,16 @@ def test_degrade_dispatch():
     np.testing.assert_array_equal(
         degrade(D, TopKDegrade(2)).data, topk_degrade(D, 2).data
     )
+
+
+def test_a_setting_that_is_not_a_degradation_is_a_type_error():
+    with pytest.raises(TypeError, match="unknown degradation setting 'topk:2'"):
+        degrade(FIG_COLUMN[:, None], "topk:2")
+
+
+def test_a_bad_setting_is_named_before_a_bad_matrix():
+    bad_D = np.array([[0.9], [0.9]])
+    with pytest.raises(ValueError, match=r"threshold must lie in \(0, 1\), got 1.5"):
+        threshold_degrade(bad_D, 1.5)
+    with pytest.raises(ValueError, match="k must be a positive integer, got 0"):
+        topk_degrade(bad_D, 0)

@@ -245,6 +245,16 @@ def test_model_with_non_finite_standardizer_is_a_clean_error(capsys, model_files
     assert expected in evaluate_error(capsys, tmp_path, path)
 
 
+def test_model_with_a_non_finite_weight_is_a_clean_error(capsys, model_files):
+    tmp_path, entries = model_files
+    entries["W"] = entries["W"].copy()
+    entries["W"][1, 2] = np.nan
+    path = tmp_path / "nan_w.npz"
+    np.savez(path, **entries)
+    assert evaluate_error(capsys, tmp_path, path) == (
+        f"error: {path}: W must be a finite 2-D matrix\n")
+
+
 def test_model_of_unknown_variant_is_a_clean_error(capsys, model_files):
     tmp_path, entries = model_files
     entries["variant"] = np.str_("bogus")

@@ -25,7 +25,7 @@ from ldlkit import (
     update_w,
 )
 from ldlkit.cli import main
-from ldlkit.errors import ShapeMismatch, SingularSystem
+from ldlkit.errors import ShapeMismatch, SingularSystem, SvdFailure
 
 
 def svt_oracle(A, tau):
@@ -88,6 +88,15 @@ def test_svt_large_threshold_gives_zero():
     A = rng.standard_normal((5, 7))
     tau = np.linalg.svd(A, compute_uv=False)[0] + 1.0
     assert np.abs(svt(A, tau)).max() == 0.0
+
+
+def test_svt_names_a_failed_svd(monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    with pytest.raises(SvdFailure, match=r"SVD did not converge on a \(3, 4\) matrix"):
+        svt(np.ones((3, 4)), 0.1)
 
 
 def test_svt_matches_oracle():

@@ -13,6 +13,7 @@ from ldlkit import (
     Standardizer,
     ThresholdDegrade,
     TopKDegrade,
+    Variant,
     parse_degradation,
     validate_distribution_matrix,
 )
@@ -118,6 +119,24 @@ def test_hyperparams_validation():
         Hyperparams(max_iters=0)
     with pytest.raises(ValueError):
         Hyperparams(tol=0.0)
+
+
+@pytest.mark.parametrize("make, name", [(FeatureMatrix, "feature matrix"),
+                                        (LabelDistributionMatrix, "distribution matrix"),
+                                        (MultiLabelMatrix, "multi-label matrix")])
+def test_empty_matrix_is_a_shape_mismatch(make, name):
+    with pytest.raises(ShapeMismatch, match=f"{name} must be non-empty"):
+        make(np.zeros((3, 0)))
+
+
+def test_hyperparams_reject_a_degradation_spec_string():
+    with pytest.raises(TypeError, match="degradation must be ThresholdDegrade or TopKDegrade"):
+        Hyperparams(degradation="threshold:0.5")
+
+
+def test_variant_prints_as_its_value():
+    assert [str(v) for v in Variant] == ["full", "ablation-a", "ablation-b"]
+    assert f"{Variant.ABLATION_A}" == "ablation-a"
 
 
 def test_standardizer_zero_variance_maps_to_zero():
