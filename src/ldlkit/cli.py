@@ -151,19 +151,30 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_predict(args) -> int:
+def _load_model_and_dataset(args):
+    """The saved model and a dataset with the model's feature count."""
     model = load_model(args.model)
     ds = dio.load_dataset(args.dataset)
+    if ds.d != model.d_in:
+        raise ShapeMismatch(f"model takes {model.d_in} features, but the dataset "
+                            f"{args.dataset} has {ds.d}")
+    return model, ds
+
+
+def cmd_predict(args) -> int:
+    model, ds = _load_model_and_dataset(args)
     pred = predict(model, ds.X.data)
-    np.savetxt(args.out or sys.stdout, pred.T, fmt="%.17g")
     if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            dio.write_rows(fh, pred.T, "%.17g")
         print(f"wrote {pred.shape[1]} predictions to {args.out}")
+    else:
+        dio.write_rows(sys.stdout, pred.T, "%.17g")
     return 0
 
 
 def cmd_evaluate(args) -> int:
-    model = load_model(args.model)
-    ds = dio.load_dataset(args.dataset)
+    model, ds = _load_model_and_dataset(args)
     if ds.m != model.m:
         raise ShapeMismatch(f"model predicts {model.m} labels, but the dataset has {ds.m}")
     pred = predict(model, ds.X.data)
@@ -227,8 +238,11 @@ def cmd_degrade(args) -> int:
     L = degrade(ds.D, setting)
     counts = L.data.sum(axis=0).astype(int)
     if args.out:
-        np.savetxt(args.out, L.data.T, fmt="%d", header=f"{L.n} {L.m}", comments="")
-    print(render_counts(list(counts), args.fmt), end="")
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(f"{L.n} {L.m}\n")
+            # '%d' formats Python ints fastest: the 0/1 entries go as int8.
+            dio.write_rows(fh, L.data.T.astype(np.int8), "%d")
+    print(render_counts(counts.tolist(), args.fmt), end="")
     if args.out:
         print(f"multi-label matrix written to {args.out}")
     return 0

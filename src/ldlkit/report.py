@@ -3,10 +3,10 @@
 A run's result is one :class:`ResultRow`: dataset, variant tag and an
 :class:`EvalReport`.  One writer, ``_table``, emits every table: CSV through
 ``csv.writer``, which quotes a name holding a comma, quote or line break, and
-Markdown with ``|`` escaped in its cells.  A run is six CSV lines (metric, mean,
-std) and one Markdown line of mean±std cells; both format numbers with 6
-significant digits, so the two views always agree.  Output is byte-deterministic
-for fixed inputs.
+Markdown with ``|`` escaped in its cells and each line break (CR, LF or CRLF)
+made a space.  A run is six CSV lines (metric, mean, std) and one Markdown line
+of mean±std cells; both format numbers with 6 significant digits, so the two
+views always agree.  Output is byte-deterministic for fixed inputs.
 """
 from __future__ import annotations
 
@@ -53,10 +53,14 @@ def _table(header: Sequence[str], rows: Iterable[Sequence[object]], fmt_name: st
         return out.getvalue()
     if fmt_name == "md":
         lines = ["| " + " | ".join(header) + " |", "|" + "---|" * len(header)]
-        lines += ["| " + " | ".join([str(c).replace("|", "\\|") for c in row]) + " |"
-                  for row in rows]
+        lines += ["| " + " | ".join([_md_cell(str(c)) for c in row]) + " |" for row in rows]
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown output format {fmt_name!r}")
+
+
+def _md_cell(text: str) -> str:
+    text = text.replace("\r\n", " ").replace("\r", " ").replace("\n", " ")
+    return text.replace("|", "\\|")
 
 
 def render(rows: Sequence[ResultRow], fmt_name: str) -> str:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ldlkit import (Dataset, FeatureMatrix, Hyperparams, LabelDistributionMatrix, TopKDegrade,
-                    Variant, evaluate, fit, load_dataset, load_model, parse_degradation,
+                    Variant, degrade, evaluate, fit, load_dataset, load_model, parse_degradation,
                     predict, save_dataset, synth_lowrank)
 from ldlkit import cli
 from ldlkit.cli import main
@@ -93,6 +93,40 @@ def test_evaluate_on_another_label_count_names_both_counts(tmp_path, capsys, syn
     code, stdout, stderr = run(capsys, "evaluate", str(other), "--model", str(model_path))
     assert (code, stdout) == (1, "")
     assert stderr == f"error: model predicts 4 labels, but the dataset has {m}\n"
+
+
+@pytest.mark.parametrize("command", ["predict", "evaluate"])
+def test_another_feature_count_names_both_counts_and_the_dataset(tmp_path, capsys, synth_file,
+                                                                 command):
+    model_path = tmp_path / "model.npz"
+    run(capsys, "train", synth_file, "--model-out", str(model_path))
+    other = tmp_path / "other.txt"
+    save_dataset(synth_lowrank(30, 5, 4, 2, 0.1, seed=1), other)
+    code, stdout, stderr = run(capsys, command, str(other), "--model", str(model_path))
+    assert (code, stdout) == (1, "")
+    assert stderr == f"error: model takes 6 features, but the dataset {other} has 5\n"
+
+
+def test_degrade_writes_n_m_then_the_binary_rows(tmp_path, capsys, synth_file):
+    out = tmp_path / "L.txt"
+    code, _, _ = run(capsys, "degrade", synth_file, "--degrade", "topk:2", "--out", str(out))
+    assert code == 0
+    L = degrade(load_dataset(synth_file).D, TopKDegrade(2)).data.T
+    expected = "60 4\n" + "".join(" ".join(str(int(v)) for v in row) + "\n" for row in L)
+    assert out.read_text(encoding="utf-8") == expected
+
+
+@pytest.mark.parametrize("argv", [["synth", "--n", "30"], ["degrade", "{data}"],
+                                  ["predict", "{data}", "--model", "{model}"]])
+def test_every_out_file_is_plain_text_whatever_its_name(tmp_path, capsys, synth_file, argv):
+    model_path = tmp_path / "model.npz"
+    run(capsys, "train", synth_file, "--model-out", str(model_path))
+    argv = [a.format(data=synth_file, model=model_path) for a in argv]
+    written = []
+    for name in ["out.txt", "out.gz", "out.txt.gz"]:
+        assert run(capsys, *argv, "--out", str(tmp_path / name))[0] == 0
+        written.append((tmp_path / name).read_bytes())
+    assert written[0][:2] != b"\x1f\x8b" and written[1] == written[2] == written[0]
 
 
 @pytest.mark.parametrize("args, message", [
@@ -476,6 +510,17 @@ def test_runs_sharing_a_tag_keep_a_markdown_line_each(capsys, synth_file, argv, 
     for line, run_records in zip(md_lines, (records[:6], records[6:])):
         cells = [c.strip() for c in line.strip("|").split("|")][2:]
         assert cells == [f"{mean}±{std}" for _, _, _, mean, std in run_records]
+
+
+def test_a_line_break_in_a_dataset_name_keeps_one_markdown_line(tmp_path, capsys):
+    path = tmp_path / "a\nb.txt"
+    save_dataset(synth_lowrank(30, 4, 3, 2, 0.1, seed=1), path)
+    code, stdout, _ = run(capsys, "train", str(path), "--model-out", str(tmp_path / "m.npz"),
+                          "--format", "md")
+    assert code == 0
+    lines = stdout.splitlines()
+    assert len(lines) == 5
+    assert lines[3].startswith("| a b | full[train] | ")
 
 
 @pytest.mark.parametrize("argv", [["train", "--model-out", "m.npz"], ["cv"], ["ablate"],

@@ -1,3 +1,4 @@
+import io
 import warnings
 from pathlib import Path
 
@@ -95,6 +96,42 @@ def test_matrix_text_round_trip_is_exact(tmp_path):
     np.testing.assert_array_equal(back.X.data, ds.X.data)
     assert np.signbit(back.X.data[0, 0])
     np.testing.assert_array_equal(back.D.data, ds.D.data)
+
+
+def _edge_floats(shape, seed):
+    A = np.random.default_rng(seed).standard_normal(shape)
+    edges = [-0.0, 5e-324, 1.7976931348623157e308, 1 / 3, 3.0, -12.0]
+    A.flat[:min(A.size, len(edges))] = edges[:A.size]
+    return A
+
+
+def _savetxt(A, fmt):
+    out = io.StringIO()
+    np.savetxt(out, A, fmt=fmt)
+    return out.getvalue()
+
+
+def _write_rows(A, fmt):
+    out = io.StringIO()
+    dio.write_rows(out, A, fmt)
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (1, 4), (7, 1), (dio._WRITE_ROWS + 3, 3),
+                                   (2 * dio._WRITE_ROWS, 2)])
+@pytest.mark.parametrize("transposed", [False, True])
+def test_write_rows_is_savetxt_byte_for_byte(shape, transposed):
+    A = _edge_floats(shape[::-1], seed=sum(shape)).T if transposed else _edge_floats(shape, 4)
+    assert A.shape == shape
+    assert _write_rows(A, "%.17g") == _savetxt(A, "%.17g")
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (1, 5), (9, 1), (dio._WRITE_ROWS + 1, 4)])
+def test_write_rows_d_is_savetxt_on_int8_and_binary_floats(shape):
+    L = (np.random.default_rng(shape[0]).random(shape[::-1]) < 0.4).astype(np.float64).T
+    expected = _savetxt(L, "%d")
+    assert _write_rows(L, "%d") == expected
+    assert _write_rows(L.astype(np.int8), "%d") == expected
 
 
 def test_csv_round_trip(tmp_path):

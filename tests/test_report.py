@@ -73,6 +73,14 @@ def test_markdown_escapes_a_pipe_in_a_name():
     assert len(re.split(r"(?<!\\)\|", line)) == 2 + 2 + 6
 
 
+@pytest.mark.parametrize("name", ["a\nb", "a\rb", "a\r\nb"])
+def test_markdown_makes_a_line_break_in_a_name_a_space(name):
+    rows = [replace(r, dataset=name) for r in sample_rows()]
+    lines = render(rows, "md").splitlines()
+    assert len(lines) == 3
+    assert lines[2].startswith("| a b | full | ")
+
+
 def test_markdown_layout():
     lines = render(sample_rows(), "md").splitlines()
     assert lines[0] == "| dataset | variant | " + " | ".join(METRIC_NAMES) + " |"
