@@ -1,15 +1,18 @@
 """Command-line front end.
 
 Subcommands: train, predict, evaluate, cv, ablate, degrade, sweep, synth.
-Every command taking --seed is fully deterministic in its output bytes.
-Non-convergence of the solver is never signalled through the exit code:
-train reports it in its output, while cv, ablate and sweep do not report it
-yet.  Module errors print a diagnostic and exit nonzero.
+Every command taking --seed is fully deterministic in its output bytes, and
+every fit appends a constant-1 feature column.  Non-convergence of the solver
+is never signalled through the exit code: train reports it in its output,
+while cv, ablate and sweep do not report it yet.  Module errors print a
+diagnostic and exit nonzero; a reader closing stdout early (``| head``) ends
+a command quietly with exit code 1, its unread output sent to devnull.
 """
 from __future__ import annotations
 
 import argparse
 import itertools
+import os
 import sys
 from dataclasses import replace
 from typing import List, Optional, Sequence, Tuple
@@ -48,8 +51,6 @@ def _add_common(p: argparse.ArgumentParser, variant: bool = True) -> None:
     p.add_argument("--format", dest="fmt", choices=["csv", "md"], default="md")
     p.add_argument("--no-standardize", action="store_true",
                    help="skip z-scoring of features")
-    p.add_argument("--no-bias", action="store_true",
-                   help="do not append a constant-1 feature column")
 
 
 def _hyperparams(args) -> Hyperparams:
@@ -63,10 +64,7 @@ def _hyperparams(args) -> Hyperparams:
 
 
 def _fit_kwargs(args) -> dict:
-    return {
-        "standardize_features": not args.no_standardize,
-        "add_bias": not args.no_bias,
-    }
+    return {"standardize_features": not args.no_standardize}
 
 
 def _splits(n: int, folds: int, seed: int, holdout: Optional[float] = None) -> List[Split]:
@@ -342,10 +340,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     except (LdlError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+    return 1
 
 
 if __name__ == "__main__":

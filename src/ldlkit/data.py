@@ -3,17 +3,17 @@
 Two on-disk formats are supported, told apart by the path's suffix:
 
 * ``MatrixText`` -- a header line ``n d m`` followed by n whitespace-separated
-  feature rows (d values each) and n distribution rows (m values each).
-  Written by ``write_rows`` with 17 significant digits, so round-trips are
-  bit-exact.  ``write_rows`` is the one writer of every matrix the CLI writes
-  (datasets, predictions, degraded labels), and it writes plain text whatever
-  the file's name, ``.gz`` included.  Read
+  feature rows (d values each) and n distribution rows (m values each).  Read
   by one reader: the text is split into lines once, blank lines are skipped,
   and each block's lines go to numpy's C reader; a block it does not take as
   finite rows of the header's width is parsed again token by token, which
   returns the same values or names the bad line.
 * ``Csv`` -- a header row ``f1..fd,y1..ym`` and one instance per row, in a
   file whose suffix is ``.csv`` in any case; every other path is MatrixText.
+
+Both formats' rows, like every matrix the CLI writes, go through ``write_rows``
+with 17 significant digits (bit-exact round-trips), as plain text whatever the
+file's name, ``.gz`` included; ``csv.writer`` writes only the CSV header.
 
 Both formats decode with ``_decode`` and parse rows with ``_parse_rows``: a
 bad byte, a non-numeric or non-finite value, or a row of the wrong width
@@ -329,20 +329,20 @@ def _load_csv(data: bytes):
             tuple(names[d:]))
 
 
-def write_rows(fh, A, fmt: str) -> None:
+def write_rows(fh, A, fmt: str, sep: str = " ", newline: str = "\n") -> None:
     """Write the rows of the 2-D array ``A`` to the text file ``fh`` as
-    space-separated ``fmt`` values, each row ending in a newline: the bytes
-    ``np.savetxt(fh, A, fmt=fmt)`` writes.  Each block of ``_WRITE_ROWS`` rows
-    is one ``%`` over its values as Python scalars, which format faster than
-    numpy's."""
-    line = " ".join([fmt] * A.shape[1]) + "\n"
+    ``sep``-separated ``fmt`` values, each row ending in ``newline``; the
+    defaults give the bytes ``np.savetxt(fh, A, fmt=fmt)`` writes.  Each block
+    of ``_WRITE_ROWS`` rows is one ``%`` over its values as Python scalars,
+    which format faster than numpy's."""
+    line = sep.join([fmt] * A.shape[1]) + newline
     for start in range(0, len(A), _WRITE_ROWS):
         rows = A[start:start + _WRITE_ROWS]
         fh.write(line * len(rows) % tuple(rows.ravel().tolist()))
 
 
 def save_dataset(ds: Dataset, path) -> None:
-    """Write a dataset; MatrixText uses 17 significant digits (lossless)."""
+    """Write a dataset; both formats use 17 significant digits (lossless)."""
     path = Path(path)
     X = ds.X.data
     Drows = ds.D.data.T
@@ -354,10 +354,8 @@ def save_dataset(ds: Dataset, path) -> None:
     else:
         labels = ds.label_names or tuple(f"y{j + 1}" for j in range(ds.m))
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([f"f{j + 1}" for j in range(ds.d)] + list(labels))
-            for xrow, drow in zip(X.tolist(), Drows.tolist()):
-                writer.writerow([f"{v:.17g}" for v in xrow] + [f"{v:.17g}" for v in drow])
+            csv.writer(fh).writerow([f"f{j + 1}" for j in range(ds.d)] + list(labels))
+            write_rows(fh, np.hstack([X, Drows]), "%.17g", ",", "\r\n")
 
 
 def synth_lowrank(

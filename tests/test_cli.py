@@ -1,3 +1,4 @@
+import io
 import subprocess
 import sys
 
@@ -6,8 +7,9 @@ import pytest
 
 from ldlkit import (Dataset, FeatureMatrix, Hyperparams, LabelDistributionMatrix, TopKDegrade,
                     Variant, degrade, evaluate, fit, load_dataset, load_model, parse_degradation,
-                    predict, save_dataset, synth_lowrank)
+                    predict, save_dataset, save_model, synth_lowrank)
 from ldlkit import cli
+from ldlkit import data as dio
 from ldlkit.cli import main
 
 
@@ -127,6 +129,33 @@ def test_every_out_file_is_plain_text_whatever_its_name(tmp_path, capsys, synth_
         assert run(capsys, *argv, "--out", str(tmp_path / name))[0] == 0
         written.append((tmp_path / name).read_bytes())
     assert written[0][:2] != b"\x1f\x8b" and written[1] == written[2] == written[0]
+
+
+@pytest.mark.parametrize("argv, out, header_lines, data_rows", [
+    (["synth", "--n", "30", "--d", "4", "--m", "3"], "ds.txt", 1, 60),
+    (["synth", "--n", "30", "--d", "4", "--m", "3"], "ds.csv", 1, 30),
+    (["predict", "{data}", "--model", "{model}"], "pred.txt", 0, 60),
+    (["degrade", "{data}"], "labels.txt", 1, 60),
+])
+def test_every_out_file_writes_its_rows_through_write_rows(tmp_path, capsys, monkeypatch,
+                                                            synth_file, argv, out, header_lines,
+                                                            data_rows):
+    model_path = tmp_path / "model.npz"
+    run(capsys, "train", synth_file, "--model-out", str(model_path))
+    chunks, write_rows = [], dio.write_rows
+
+    def spy(fh, A, *args, **kwargs):
+        text = io.StringIO()
+        write_rows(text, A, *args, **kwargs)
+        chunks.append(text.getvalue())
+        fh.write(chunks[-1])
+
+    monkeypatch.setattr(dio, "write_rows", spy)
+    argv = [a.format(data=synth_file, model=model_path) for a in argv]
+    assert run(capsys, *argv, "--out", str(tmp_path / out))[0] == 0
+    written, rows = (tmp_path / out).read_bytes().decode("utf-8"), "".join(chunks)
+    assert written.endswith(rows) and len(rows.splitlines()) == data_rows
+    assert written[:len(written) - len(rows)].count("\n") == header_lines
 
 
 @pytest.mark.parametrize("args, message", [
@@ -539,6 +568,46 @@ def test_train_keeps_its_seed_flag():
     args = cli.build_parser().parse_args(["train", "ds.txt", "--model-out", "m.npz",
                                           "--seed", "7919"])
     assert args.seed == 7919
+
+
+@pytest.mark.parametrize("argv", [["train", "--model-out", "m.npz"], ["cv"], ["ablate"],
+                                  ["sweep", "--param", "alpha"]])
+def test_no_bias_is_not_a_flag(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "ds.txt", *argv[1:], "--no-bias"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --no-bias" in capsys.readouterr().err
+
+
+def test_a_model_fit_without_bias_still_predicts_and_evaluates(tmp_path, capsys, synth_file):
+    ds = load_dataset(synth_file)
+    model = fit(ds.X, ds.D, add_bias=False).model
+    model_path = tmp_path / "no-bias.npz"
+    save_model(model, model_path)
+    assert load_model(model_path).bias is False
+    code, stdout, stderr = run(capsys, "predict", synth_file, "--model", str(model_path))
+    assert (code, stderr) == (0, "")
+    np.testing.assert_array_equal(np.loadtxt(io.StringIO(stdout)), predict(model, ds.X.data).T)
+    code, stdout, stderr = run(capsys, "evaluate", synth_file, "--model", str(model_path))
+    assert (code, stderr) == (0, "") and "| full |" in stdout
+
+
+def test_a_reader_closing_stdout_early_ends_predict_quietly(tmp_path):
+    ds_path, model_path = tmp_path / "ds.txt", tmp_path / "model.npz"
+    ds = synth_lowrank(3000, 5, 6, 2, 0.1, seed=0)
+    save_dataset(ds, ds_path)
+    save_model(fit(ds.X, ds.D, variant="ablation-a").model, model_path)
+    # 3000 rows of six 17-digit values are ~350 KB: far more than a pipe holds,
+    # so predict is still writing when the reader goes.
+    with subprocess.Popen([sys.executable, "-m", "ldlkit", "predict", str(ds_path),
+                           "--model", str(model_path)],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    assert len(first.split()) == 6
+    assert (code, stderr) == (1, b"")
 
 
 def test_failed_svd_is_one_error_line(monkeypatch, tmp_path, capsys, synth_file):

@@ -1,3 +1,4 @@
+import csv
 import io
 import warnings
 from pathlib import Path
@@ -105,15 +106,15 @@ def _edge_floats(shape, seed):
     return A
 
 
-def _savetxt(A, fmt):
+def _savetxt(A, fmt, *sep_newline):
     out = io.StringIO()
-    np.savetxt(out, A, fmt=fmt)
+    np.savetxt(out, A, fmt, *sep_newline)
     return out.getvalue()
 
 
-def _write_rows(A, fmt):
+def _write_rows(A, fmt, *sep_newline):
     out = io.StringIO()
-    dio.write_rows(out, A, fmt)
+    dio.write_rows(out, A, fmt, *sep_newline)
     return out.getvalue()
 
 
@@ -123,7 +124,8 @@ def _write_rows(A, fmt):
 def test_write_rows_is_savetxt_byte_for_byte(shape, transposed):
     A = _edge_floats(shape[::-1], seed=sum(shape)).T if transposed else _edge_floats(shape, 4)
     assert A.shape == shape
-    assert _write_rows(A, "%.17g") == _savetxt(A, "%.17g")
+    for sep_newline in [(), (",", "\r\n")]:     # MatrixText's and CSV's rows
+        assert _write_rows(A, "%.17g", *sep_newline) == _savetxt(A, "%.17g", *sep_newline)
 
 
 @pytest.mark.parametrize("shape", [(0, 3), (1, 5), (9, 1), (dio._WRITE_ROWS + 1, 4)])
@@ -132,6 +134,36 @@ def test_write_rows_d_is_savetxt_on_int8_and_binary_floats(shape):
     expected = _savetxt(L, "%d")
     assert _write_rows(L, "%d") == expected
     assert _write_rows(L.astype(np.int8), "%d") == expected
+
+
+def _csv_per_value(ds, path):
+    """Reference CSV writer: each value formatted alone, each row written by
+    ``csv.writer``."""
+    labels = ds.label_names or tuple(f"y{j + 1}" for j in range(ds.m))
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"f{j + 1}" for j in range(ds.d)] + list(labels))
+        for xrow, drow in zip(ds.X.data.tolist(), ds.D.data.T.tolist()):
+            writer.writerow([f"{v:.17g}" for v in xrow] + [f"{v:.17g}" for v in drow])
+
+
+CSV_DATASETS = {
+    "1x1": lambda: synth_lowrank(1, 1, 1, 1, 0.1, seed=0),
+    "30x4": lambda: synth_lowrank(30, 4, 3, 2, 0.1, seed=1),
+    "two_blocks": lambda: synth_lowrank(dio._WRITE_ROWS + 1, 5, 3, 2, 0.1, seed=2),
+    "5000x50": lambda: synth_lowrank(5000, 50, 6, 2, 0.1, seed=3),
+    "edges_and_quoted_labels": lambda: Dataset(
+        "edges", FeatureMatrix([[-0.0, 5e-324]]),
+        LabelDistributionMatrix([[1.7976931348623157e308], [1 / 3]]), ("calm", 'joy, "mild"')),
+}
+
+
+@pytest.mark.parametrize("case", CSV_DATASETS)
+def test_csv_bytes_equal_the_per_value_writer(tmp_path, case):
+    ds = CSV_DATASETS[case]()
+    save_dataset(ds, tmp_path / "new.csv")
+    _csv_per_value(ds, tmp_path / "old.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 def test_csv_round_trip(tmp_path):
