@@ -25,7 +25,9 @@ never builds an n x n array, nor U: each O-step forms the Gram U'U = Q Q' of
 Q = [D; P] once.  The W-step matrix is X'X + 2 lam I plus a rank-<=2m term
 too, and the loop runs in the eigenbasis V of X'X: it carries W V, so each
 W-step is a diagonal or 2m x 2m solve, no iteration takes a d x d product,
-and W is rotated back once.  numpy suffices.
+and W is rotated back once.  An iteration whose G is provably zero (see
+``svt``) takes no SVD, and the objective trace takes its spectra from one
+stacked SVD per ``_TRACE_BATCH`` iterations.  numpy suffices.
 
 Every instance-indexed object of the loop lies in the span of [X, D', L'], of
 width b <= d + 2m (d + m for ablation-a, which has no L).  So when b < n,
@@ -70,6 +72,7 @@ MODEL_FORMAT_VERSION = 1
 MU0 = 0.1
 MU_MAX = 1e6
 MU_GROWTH = 1.1
+_TRACE_BATCH = 32       # iterations whose objective spectra one stacked SVD takes
 
 
 @dataclass(frozen=True)
@@ -85,17 +88,29 @@ def svt(A: np.ndarray, tau: float) -> np.ndarray:
     """Singular value thresholding: soft-threshold the spectrum by ``tau``.
 
     Returns U max(S - tau, 0) V' for the thin SVD A = U S V', which is the
-    proximal operator of ``tau * nuclear norm`` at A.
+    proximal operator of ``tau * nuclear norm`` at A.  It is exact zeros, and
+    no SVD is taken, when the largest row sum of |A A'| (|A'A| if smaller) is
+    below tau^2 (1 - 1e-8): by Gershgorin, sigma_max(A) < tau.  The margin
+    covers round-off below 1e7 entries and underflow at tau > 1e-140.
     """
-    if tau < 0:
+    if not tau >= 0:
         raise ValueError(f"tau must be nonnegative, got {tau}")
     A = np.asarray(A, dtype=np.float64)
+    if A.ndim == 2 and A.size < 1e7 and tau > 1e-140:
+        B = A @ A.T if len(A) <= A.shape[1] else A.T @ A
+        if np.abs(B).sum(axis=1).max(initial=0.0) < tau * tau * (1 - 1e-8):
+            return np.zeros(A.shape)
     try:
         U, s, Vt = np.linalg.svd(A, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise SvdFailure(f"SVD did not converge on a {A.shape} matrix") from exc
     s = np.maximum(s - tau, 0.0)
     return (U * s) @ Vt
+
+
+def _norm(x) -> np.float64:
+    """np.linalg.norm(x) of a float array without its dispatch: the same dot."""
+    return np.sqrt(x.ravel("K").dot(x.ravel("K")))
 
 
 def _eigh_psd(M: np.ndarray, what: str):
@@ -113,27 +128,28 @@ def _check_rank(s: np.ndarray, lam: float, what: str) -> None:
         raise SingularSystem(f"{what} system is rank-deficient; a positive lambda is required")
 
 
-def _o_step(Q, L, G, multipliers, penalty, lam):
-    """The Gram U'U and the factor K of the O-step minimizer O = U K, given
-    Q = U' = [D; P] with P = W X'.
-
-    With C = diag(2 I_m, mu I_m), the O-step matrix is U C U' + 2 lam I, and
-    the push-through identity gives
-    K = (2 lam I + C U'U)^-1 [2 L; mu G - multipliers].
+def _o_steps(D, L, lam: float):
+    """The O-step of one fit, checked for rank and with its buffers made once:
+    it maps P = W X', Gm = mu G - multipliers and mu to the Gram U'U and the
+    factor K of the O-step minimizer O = U K, where U' = Q = [D; P].  With
+    C = diag(c) = diag(2 I_m, mu I_m), the O-step matrix is U C U' + 2 lam I,
+    and the push-through identity gives K = (2 lam I + C U'U)^-1 [2 L; Gm].
     """
-    two_m, n = Q.shape
-    if lam == 0.0 and n > two_m:
-        raise SingularSystem(
-            "O-step system is rank-deficient; a positive lambda is required"
-        )
-    UtU = Q @ Q.T                                           # (2m, 2m)
-    c = np.repeat([2.0, penalty], two_m // 2)
-    M = c[:, np.newaxis] * UtU + 2.0 * lam * np.eye(two_m)
-    rhs = np.vstack([2.0 * L, penalty * G - multipliers])
-    try:
-        return UtU, np.linalg.solve(M, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem("O-step system is numerically singular") from exc
+    m, n = D.shape
+    if lam == 0.0 and n > 2 * m:
+        raise SingularSystem("O-step system is rank-deficient; a positive lambda is required")
+    Q, rhs, c = np.empty((2 * m, n)), np.empty((2 * m, L.shape[1])), np.full(2 * m, 2.0)
+    Q[:m], rhs[:m], ridge = D, 2.0 * L, 2.0 * lam * np.eye(2 * m)
+
+    def step(P, Gm, penalty: float):
+        Q[m:], rhs[m:], c[m:] = P, Gm, penalty
+        UtU = Q @ Q.T                                       # (2m, 2m)
+        try:
+            return UtU, np.linalg.solve(c[:, np.newaxis] * UtU + ridge, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystem("O-step system is numerically singular") from exc
+
+    return step
 
 
 def update_w(
@@ -180,20 +196,19 @@ def update_o(
 
         O = (2 D'D + mu P'P + 2 lam I)^-1 (2 D'L + P'(mu G - multipliers)),
 
-    computed through its factors (see :func:`_o_step`).
+    computed through its factors (see :func:`_o_steps`).
     """
-    Q = np.vstack([D, W @ X.T])
-    _, K = _o_step(Q, L, G, multipliers, penalty, lam)
-    return Q.T @ K
+    P = W @ X.T
+    _, K = _o_steps(D, L, lam)(P, penalty * G - multipliers, penalty)
+    return np.vstack([D, P]).T @ K
 
 
-def _objective(W, P, N, D, alpha, lam, o_terms=0.0) -> float:
-    """Objective of the loop at P = W X'; N has P O's singular values, and
-    ``o_terms`` is ||D O - L||^2 + lam ||O||^2 (0 while O = I)."""
-    value = (0.5 * np.linalg.norm(P - D) ** 2
-             + alpha * np.linalg.svd(N, compute_uv=False).sum()
-             + lam * np.linalg.norm(W) ** 2)
-    return float(value + o_terms)
+def _trace(alpha: float, terms) -> List[float]:
+    """The objective at each iteration of ``terms``: (1/2 ||P - D||^2, N,
+    lam ||W||^2, ||D O - L||^2 + lam ||O||^2) at P = W X', where N has P O's
+    singular values.  One stacked value-only SVD takes every N's spectrum."""
+    spectra = np.linalg.svd(np.stack([N for _, N, _, _ in terms]), compute_uv=False)
+    return [float(f + alpha * s.sum() + w + o) for (f, _, w, o), s in zip(terms, spectra)]
 
 
 def _w_steps(spectrum, lam: float):
@@ -215,12 +230,12 @@ def _w_steps(spectrum, lam: float):
     _check_rank(s, lam, "W-step")
     a = s + 2.0 * lam                                       # eigenvalues of A
 
-    def step(Wv, K, R, G, multipliers, penalty: float) -> np.ndarray:
-        """The next Wv, from the Wv, K and R of the last O-step."""
+    def step(Wv, K, R, Gm, penalty: float) -> np.ndarray:
+        """The next Wv, from Gm = mu G - multipliers and the last O-step's K and R."""
         if K is None:
-            return (DXV + (penalty * G - multipliers) @ XV) / (a + penalty * s)
+            return (DXV + Gm @ XV) / (a + penalty * s)
         XVU = np.vstack([DXV, Wv * s]).T                    # (d, 2m)
-        Z = (DXV + ((penalty * G - multipliers) @ K.T) @ XVU.T) / a
+        Z = (DXV + (Gm @ K.T) @ XVU.T) / a
         F = np.sqrt(penalty) * XVU @ R.T
         Y = F / a[:, np.newaxis]
         core = np.eye(F.shape[1]) + F.T @ Y                 # symmetric
@@ -234,45 +249,50 @@ def _w_steps(spectrum, lam: float):
 
 def _admm(D, L, hp: Hyperparams, spectrum):
     """The splitting loop on Wv = W V (see :func:`_w_steps`, given X's
-    ``spectrum``), P = W X' and PO = P O; O = U K with
-    U = [D' P'], or I while K is None (ablation-a: L None).  T = U'U K holds
-    D O and P O, <T, K> is ||O||^2, and N = (P U) R' for R of K' = Q R has
-    P O's singular values.  Raises NonFiniteIterate at the first non-finite
-    primal residual or W change.  Returns W, the iterations run, the last
-    primal residual, the trace and converged."""
+    ``spectrum``), P = W X' and PO = P O; O = U K with U = [D' P'], or I while
+    K is None (ablation-a: L None).  T = U'U K holds D O and P O, <T, K> is
+    ||O||^2, and N = (P U) R' for R of K' = Q R has P O's singular values, which
+    the trace takes from one stacked SVD per ``_TRACE_BATCH`` iterations.
+    Raises NonFiniteIterate at the first non-finite primal residual or W
+    change.  Returns W, the iterations run, the last primal residual, the
+    trace and converged."""
     _, V, XV, _ = spectrum
     Wv, w_step = _w_steps(spectrum, hp.lam)
+    o_step = None if L is None else _o_steps(D, L, hp.lam)
     m = D.shape[0]
     PO = Wv @ XV.T
     K = R = None
-    multipliers, penalty = np.zeros(D.shape), MU0
-    trace = []
+    multipliers, penalty, trace, terms = np.zeros(D.shape), MU0, [], []
     # An overflowing iterate is reported once, as NonFiniteIterate, not as
     # numpy warnings from the steps before the check.
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(1, hp.max_iters + 1):
             G = svt(PO + multipliers / penalty, hp.alpha / penalty)
-            Wv_new = w_step(Wv, K, R, G, multipliers, penalty)
-            w_change = np.linalg.norm(Wv_new - Wv) / max(1.0, np.linalg.norm(Wv))
+            Gm = penalty * G - multipliers
+            Wv_new = w_step(Wv, K, R, Gm, penalty)
+            w_change = _norm(Wv_new - Wv) / max(1.0, _norm(Wv))
             Wv = Wv_new
             P = PO = N = Wv @ XV.T
             o_terms = 0.0
-            if L is not None:
-                UtU, K = _o_step(np.vstack([D, P]), L, G, multipliers, penalty, hp.lam)
+            if o_step is not None:
+                UtU, K = o_step(P, Gm, penalty)
                 R, T = np.linalg.qr(K.T, mode="r"), UtU @ K
                 PO, N = T[m:], UtU[m:] @ R.T
-                o_terms = np.linalg.norm(T[:m] - L) ** 2 + hp.lam * (T * K).sum()
+                o_terms = _norm(T[:m] - L) ** 2 + hp.lam * (T * K).sum()
             residual = G - PO
-            primal = float(np.linalg.norm(residual) / max(1.0, np.linalg.norm(G)))
+            primal = float(_norm(residual) / max(1.0, _norm(G)))
             if not (np.isfinite(primal) and np.isfinite(w_change)):
                 raise NonFiniteIterate(f"iterate is not finite at iteration {it} (relative"
                                        f" primal residual {primal:g}, W change {w_change:g})")
             multipliers = multipliers - penalty * residual
             penalty = min(MU_GROWTH * penalty, MU_MAX)
-            trace.append(_objective(Wv, P, N, D, hp.alpha, hp.lam, o_terms))
-            if primal <= hp.tol and w_change <= hp.tol:
-                return Wv @ V.T, it, primal, trace, True
-    return Wv @ V.T, hp.max_iters, primal, trace, False
+            terms.append((0.5 * _norm(P - D) ** 2, N, hp.lam * _norm(Wv) ** 2, o_terms))
+            converged = bool(primal <= hp.tol and w_change <= hp.tol)
+            if converged or it == hp.max_iters or len(terms) == _TRACE_BATCH:
+                trace, terms = trace + _trace(hp.alpha, terms), []
+            if converged:
+                break
+    return Wv @ V.T, it, primal, trace, converged
 
 
 def _ridge(gram, DX, lam: float, eigen):
@@ -357,7 +377,7 @@ def _fit_split(X, D, runs, standardize_features: bool = True,
         if variant is Variant.ABLATION_B:
             W = _ridge(gram, Dw @ Xw, hp.lam, eigen)
             P, iterations, primal, converged = W @ Xw.T, 0, 0.0, True
-            trace = [_objective(W, P, P, Dw, 0.0, hp.lam)]
+            trace = _trace(0.0, [(0.5 * _norm(P - Dw) ** 2, P, hp.lam * _norm(W) ** 2, 0.0)])
         else:
             key = (variant, hp.degradation if variant is Variant.FULL else None)
             if key not in bases:

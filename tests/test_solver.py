@@ -130,6 +130,88 @@ def test_svt_rejects_negative_tau():
         svt(np.eye(2), -0.1)
 
 
+def test_svt_rejects_a_nan_tau_and_zeroes_everything_at_an_infinite_one():
+    with pytest.raises(ValueError, match="tau must be nonnegative, got nan"):
+        svt(np.ones((3, 4)), float("nan"))
+    out = svt(np.ones((3, 4)), float("inf"))
+    assert out.shape == (3, 4) and not out.any()
+
+
+def spectral_norm_scaled(shape, sigma_max, orthogonal=False):
+    """A random matrix with spectral norm ``sigma_max``; with ``orthogonal``
+    its shorter side's vectors are orthogonal, so A A' (or A'A) is diagonal and
+    its largest Gershgorin row sum is sigma_max^2 itself."""
+    rng = np.random.default_rng(4)
+    A = rng.standard_normal(shape)
+    if orthogonal:                          # orthonormal vectors times a spectrum
+        Q = np.linalg.qr(rng.standard_normal((max(shape), min(shape))))[0]
+        A = Q * np.linspace(1.0, 0.5, min(shape))
+        A = A if shape[0] > shape[1] else A.T
+    return A * (sigma_max / np.linalg.svd(A, compute_uv=False)[0])
+
+
+@pytest.fixture()
+def svd_calls(monkeypatch):
+    """The shapes numpy.linalg.svd is called on, one entry per call."""
+    calls, svd = [], np.linalg.svd
+
+    def counting_svd(M, *args, **kwargs):
+        calls.append(np.shape(M))
+        return svd(M, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    return calls
+
+
+SVT_SHAPES = [(6, 170), (40, 7), (5, 5), (1, 9), (9, 1)]
+
+
+@pytest.mark.parametrize("orthogonal", [False, True])
+@pytest.mark.parametrize("shape", SVT_SHAPES)
+def test_svt_just_below_the_threshold_is_exact_zeros(svd_calls, shape, orthogonal):
+    # sigma_max = tau (1 - 1e-6), so every thresholded singular value is 0.
+    # With orthogonal rows (or columns) the Gershgorin bound is tight and
+    # proves it: svt returns the zeros without an SVD.
+    tau = 0.37
+    A = spectral_norm_scaled(shape, tau * (1 - 1e-6), orthogonal)
+    expected = svt_oracle(A, tau)
+    svd_calls.clear()
+    out = svt(A, tau)
+    assert not expected.any()
+    assert out.shape == shape and out.dtype == np.float64
+    assert np.array_equal(out, expected)
+    if orthogonal:
+        assert svd_calls == []
+
+
+@pytest.mark.parametrize("orthogonal", [False, True])
+@pytest.mark.parametrize("shape", SVT_SHAPES)
+def test_svt_just_above_the_threshold_is_nonzero_and_matches_the_oracle(shape, orthogonal):
+    tau = 0.37
+    A = spectral_norm_scaled(shape, tau * (1 + 1e-6), orthogonal)
+    out = svt(A, tau)
+    assert out.any()
+    np.testing.assert_allclose(out, svt_oracle(A, tau), atol=1e-8)
+
+
+@pytest.mark.parametrize("tau", [0.1, 1e6, np.inf])
+def test_svt_on_a_nan_still_names_the_failed_svd(tau):
+    A = np.full((3, 4), 1e-3)
+    A[1, 2] = np.nan
+    with pytest.raises(SvdFailure, match=r"SVD did not converge on a \(3, 4\) matrix"):
+        svt(A, tau)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf])
+@pytest.mark.parametrize("tau", [0.1, 1e6, np.inf])
+def test_svt_on_an_inf_still_takes_the_svd(svd_calls, bad, tau):
+    # No bound is proved on an infinite matrix, so it goes to the SVD as before.
+    A = np.full((3, 4), 1e-3)
+    A[1, 2] = bad
+    svt(A, tau)
+    assert svd_calls == [(3, 4)]
+
+
 def test_update_g_alpha_zero_is_exact_target():
     rng = np.random.default_rng(4)
     X, D, L, G, Gam, mu, lam = random_problem(rng)
@@ -413,11 +495,11 @@ class SolverState:
     primal_residual: float = np.inf
 
 
-def update_g(W, X, O, multipliers, penalty, alpha):
+def update_g(W, X, O, multipliers, penalty, alpha, g_step=svt):
     """Auxiliary-variable step: G = svt(W X' O + multipliers / penalty, alpha / penalty)."""
     if penalty <= 0:
         raise ValueError(f"penalty must be positive, got {penalty}")
-    return svt(W @ X.T @ O + multipliers / penalty, alpha / penalty)
+    return g_step(W @ X.T @ O + multipliers / penalty, alpha / penalty)
 
 
 def update_multipliers(state, W, X, O, mu_growth=1.1, mu_max=1e6):
@@ -450,10 +532,12 @@ def documented_objective(W, X, D, O, L, hp, full):
     return value
 
 
-def dense_reference_fit(X, D, hp, full):
+def dense_reference_fit(X, D, hp, full, g_step=svt):
     """The splitting loop written from dense steps (the public svt, update_w and
     update_o, and this file's update_g and update_multipliers), O starting at
-    I, with the documented objective after each iteration.
+    I, with the documented objective after each iteration.  ``g_step`` is the
+    G-step's thresholding, svt or ``svt_oracle``; the fraction of iterations
+    whose G is exactly zero is returned too.
 
     For ablation-a the O-step is skipped, so O stays the identity."""
     n = X.shape[0]
@@ -462,9 +546,10 @@ def dense_reference_fit(X, D, hp, full):
     O = np.eye(n)
     L = degrade(D, hp.degradation).data
     state = SolverState(aux=W @ X.T @ O, multipliers=np.zeros(D.shape), penalty=solver.MU0)
-    trace = []
+    trace, zero_g = [], 0
     for _ in range(hp.max_iters):
-        state.aux = update_g(W, X, O, state.multipliers, state.penalty, hp.alpha)
+        state.aux = update_g(W, X, O, state.multipliers, state.penalty, hp.alpha, g_step)
+        zero_g += not state.aux.any()
         W_new = update_w(X, D, O, state.aux, state.multipliers, state.penalty, hp.lam)
         w_change = np.linalg.norm(W_new - W) / max(1.0, np.linalg.norm(W))
         W = W_new
@@ -474,7 +559,7 @@ def dense_reference_fit(X, D, hp, full):
         trace.append(documented_objective(W, X, D, O, L, hp, full))
         if state.primal_residual <= hp.tol and w_change <= hp.tol:
             break
-    return W, state, trace
+    return W, state, trace, zero_g / state.iteration
 
 
 @pytest.mark.parametrize("variant", ["full", "ablation-a"])
@@ -483,17 +568,26 @@ def dense_reference_fit(X, D, hp, full):
     ((30, 5, 3, 12), 1e-8),
     ((12, 20, 3, 10), 0.1),            # n < d
     ((40, 6, 4, 60, 1.0, 1.0), 0.1),   # (alpha, mu_max): the penalty reaches mu_max
+    ((12, 20, 3, 50, 1.0, None), 0.1),  # alpha = 1 at n < d, scipy's G-step (below)
 ])
 def test_fit_matches_dense_reference_loop(monkeypatch, variant, shape, lam):
+    # In the last case the reference thresholds G through scipy's SVD
+    # (svt_oracle), which has no shortcut for a G that is provably zero; the
+    # full fit runs to its cap with G exactly zero in most iterations.
     n, d, m, iters, *schedule = shape
-    alpha, mu_max = schedule or (0.1, 1e6)
-    monkeypatch.setattr(solver, "MU_MAX", mu_max)
+    alpha, mu_max = schedule or (0.1, None)
+    if mu_max is not None:
+        monkeypatch.setattr(solver, "MU_MAX", mu_max)
     ds = synth_lowrank(n, d, m, 2, 0.1, seed=15)
     hp = Hyperparams(alpha=alpha, lam=lam, max_iters=iters)
     res = fit(ds.X, ds.D, hp, variant=variant, standardize_features=False, add_bias=False)
-    W_ref, state, trace = dense_reference_fit(ds.X.data, ds.D.data, hp, variant == "full")
+    oracle = bool(schedule) and mu_max is None
+    W_ref, state, trace, zero_g = dense_reference_fit(
+        ds.X.data, ds.D.data, hp, variant == "full", svt_oracle if oracle else svt)
     assert res.iterations_run == state.iteration
-    if schedule:
+    if oracle and variant == "full":
+        assert not res.converged and res.iterations_run == iters and zero_g >= 0.5
+    if mu_max is not None:
         assert state.penalty == mu_max
     np.testing.assert_allclose(res.model.W, W_ref, rtol=0, atol=1e-10)
     assert len(res.objective_trace) == len(trace)
@@ -505,7 +599,8 @@ def test_fit_matches_dense_reference_loop(monkeypatch, variant, shape, lam):
 @pytest.fixture()
 def linalg_calls(monkeypatch):
     """Shapes seen by numpy.linalg's eigh, solve, QR (with its mode) and
-    value-only SVD (the objective's, not svt's), one entry per call."""
+    value-only SVD (the objective's, not svt's), one entry per call, and for a
+    stacked value-only SVD one (rows, cols) entry per matrix of the stack."""
     calls = {"eigh": [], "solve": [], "qr": [], "svdvals": []}
     eigh, solve, qr, svd = np.linalg.eigh, np.linalg.solve, np.linalg.qr, np.linalg.svd
 
@@ -523,7 +618,7 @@ def linalg_calls(monkeypatch):
 
     def counting_svd(M, *args, compute_uv=True, **kwargs):
         if not compute_uv:
-            calls["svdvals"].append(M.shape)
+            calls["svdvals"].extend([M.shape[-2:]] * int(np.prod(M.shape[:-2])))
         return svd(M, *args, compute_uv=compute_uv, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
