@@ -7,10 +7,14 @@ is never signalled through the exit code: train reports it in its output,
 while cv, ablate and sweep do not report it yet.  Module errors print a
 diagnostic and exit nonzero; a reader closing stdout early (``| head``) ends
 a command quietly with exit code 1, its unread output sent to devnull.
+The process entry :func:`entry` freezes the import-time heap (``gc.freeze``)
+so no collection, the one at exit included, scans it again; :func:`main` has
+no such side effect, for callers that run it in process.
 """
 from __future__ import annotations
 
 import argparse
+import gc
 import itertools
 import os
 import sys
@@ -350,5 +354,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     return 1
 
 
+def entry() -> int:
+    """``python -m ldlkit`` and the ``ldlkit`` script: :func:`main` on sys.argv."""
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

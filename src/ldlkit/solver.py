@@ -260,6 +260,7 @@ def _admm(D, L, hp: Hyperparams, spectrum):
     Wv, w_step = _w_steps(spectrum, hp.lam)
     o_step = None if L is None else _o_steps(D, L, hp.lam)
     m = D.shape[0]
+    upper = np.triu(np.ones((min(D.shape[1], 2 * m), 2 * m), bool))  # triu mask, once per fit
     PO = Wv @ XV.T
     K = R = None
     multipliers, penalty, trace, terms = np.zeros(D.shape), MU0, [], []
@@ -276,7 +277,8 @@ def _admm(D, L, hp: Hyperparams, spectrum):
             o_terms = 0.0
             if o_step is not None:
                 UtU, K = o_step(P, Gm, penalty)
-                R, T = np.linalg.qr(K.T, mode="r"), UtU @ K
+                raw = np.linalg.qr(K.T, mode="raw")[0].T       # R above the reflectors
+                R, T = np.where(upper, raw[:len(upper)], 0.0), UtU @ K
                 PO, N = T[m:], UtU[m:] @ R.T
                 o_terms = _norm(T[:m] - L) ** 2 + hp.lam * (T * K).sum()
             residual = G - PO

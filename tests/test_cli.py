@@ -1,6 +1,10 @@
+import gc
+import importlib
 import io
+import runpy
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -487,6 +491,49 @@ sys.exit(main(["cv", sys.argv[1], "--variants", "full,ablation-a,ablation-b",
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert len(proc.stdout.splitlines()) == 1 + 3 * 6
+
+
+def test_the_process_entry_freezes_the_import_time_heap_and_main_does_not(
+        tmp_path, capsys, synth_file):
+    script = """
+import gc, runpy, sys
+sys.argv = ["ldlkit", "degrade", *sys.argv[1:]]
+try:
+    runpy.run_module("ldlkit", run_name="__main__")
+except SystemExit as exc:
+    print(exc.code, gc.get_freeze_count() > 0, file=sys.stderr)
+"""
+    proc = subprocess.run([sys.executable, "-c", script, synth_file, "--out",
+                           str(tmp_path / "ml.txt")], capture_output=True, text=True)
+    assert proc.stderr == "0 True\n"
+    assert run(capsys, "degrade", synth_file)[0] == 0
+    assert gc.get_freeze_count() == 0
+
+
+def test_exit_codes_through_the_process_entry(tmp_path, synth_file):
+    def run_m(*argv):
+        proc = subprocess.run([sys.executable, "-m", "ldlkit", *argv],
+                              capture_output=True, text=True)
+        return proc.returncode, proc.stderr
+
+    assert run_m("degrade", synth_file) == (0, "")
+    code, stderr = run_m("degrade", str(tmp_path / "missing.txt"))
+    assert code == 1 and stderr.startswith("error: ") and stderr.count("\n") == 1
+    code, stderr = run_m("degrade", synth_file, "--no-such-flag")
+    assert code == 2 and stderr.startswith("usage: ldlkit [-h] ")
+    assert stderr.endswith("\nldlkit: error: unrecognized arguments: --no-such-flag\n")
+
+
+def test_the_console_script_starts_through_the_entry_python_dash_m_calls(monkeypatch):
+    tomllib = pytest.importorskip("tomllib")            # Python 3.11+
+    pyproject = Path(cli.__file__).parents[2] / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]["ldlkit"]
+    module, _, name = target.partition(":")
+    started = []
+    monkeypatch.setattr(importlib.import_module(module), name, lambda: started.append(1) or 7)
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("ldlkit", run_name="__main__")
+    assert (exc.value.code, started) == (7, [1])
 
 
 def test_dataset_parse_error_names_file_and_line(tmp_path, capsys):

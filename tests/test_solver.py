@@ -657,8 +657,37 @@ def test_full_fit_factors_the_d_by_d_system_a_fixed_number_of_times(linalg_calls
             assert decomposed == [(d, d)]
             assert solved == [(2 * m, 2 * m)] * (2 * max_iters - 1 if full else 0)
             assert factored == ([((n, b), "r")] if n > b else []) + \
-                [((rows, 2 * m), "r")] * (max_iters if full else 0)
+                [((rows, 2 * m), "raw")] * (max_iters if full else 0)
             assert spectra == [(m, 2 * m) if full else (m, rows)] * max_iters
+
+
+@pytest.mark.parametrize("n", [5, 40])       # K' has 5 < 2m and 15 > 2m rows
+def test_full_fit_reads_only_r_from_the_raw_qr(monkeypatch, n):
+    # The loop takes R from the upper triangle of QR's raw output. With that
+    # triangle replaced by mode "r"'s R and every reflector entry by NaN, the
+    # fit is bit-equal: R is mode "r"'s, and no reflector entry leaks into it.
+    ds = synth_lowrank(n, 6, 4, 2, 0.1, seed=n)
+    hp = Hyperparams(alpha=1.0, max_iters=40)
+    want = fit(ds.X, ds.D, hp, "full", standardize_features=False)
+    qr, shapes = np.linalg.qr, []
+
+    def r_above_nan(M, mode="reduced"):
+        if mode != "raw":
+            return qr(M, mode=mode)
+        R = qr(M, mode="r")
+        h = np.full(M.shape, np.nan)
+        h[:len(R)] = np.where(np.triu(np.ones(R.shape, bool)), R, np.nan)
+        np.testing.assert_array_equal(np.triu(qr(M, mode="raw")[0].T[:len(R)]), R)
+        shapes.append(R.shape)
+        return h.T, np.full(len(R), np.nan)
+
+    monkeypatch.setattr(np.linalg, "qr", r_above_nan)
+    got = fit(ds.X, ds.D, hp, "full", standardize_features=False)
+    assert shapes == [(min(n, 8), 8)] * got.iterations_run
+    assert got.model.W.tobytes() == want.model.W.tobytes()
+    assert np.array(got.objective_trace).tobytes() == np.array(want.objective_trace).tobytes()
+    assert (got.iterations_run, got.final_primal_residual, got.converged) == (
+        want.iterations_run, want.final_primal_residual, want.converged)
 
 
 def test_ablation_b_with_ridge_takes_one_solve_and_no_eigendecomposition(linalg_calls):
@@ -716,14 +745,14 @@ def test_sweep_ablate_and_grid_take_one_eigendecomposition_per_training_split(
     calls = run("sweep", "--param", "alpha", "--values", "0.01,0.1,1")
     assert calls["eigh"] == [(d + 1, d + 1)] * k
     assert calls["solve"] == [(2 * m, 2 * m)] * ((2 * iters - 1) * full_fits)
-    assert calls["qr"] == [((rows, 2 * m), "r")] * (iters * full_fits)
+    assert calls["qr"] == [((rows, 2 * m), "raw")] * (iters * full_fits)
     assert calls["svdvals"] == [(m, 2 * m)] * (iters * full_fits)
 
     calls = run("ablate")
     assert calls["eigh"] == [(d + 1, d + 1)] * k
     assert sorted(calls["solve"]) == sorted(
         [(2 * m, 2 * m)] * ((2 * iters - 1) * k) + [(d + 1, d + 1)] * k)
-    assert calls["qr"] == [((rows, 2 * m), "r")] * (iters * k)
+    assert calls["qr"] == [((rows, 2 * m), "raw")] * (iters * k)
     assert sorted(calls["svdvals"]) == sorted(        # ablation-b's objective: one
         [(m, 2 * m), (m, rows)] * (iters * k) + [(m, rows)] * k)
 
