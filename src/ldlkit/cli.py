@@ -18,7 +18,6 @@ import gc
 import itertools
 import os
 import sys
-from dataclasses import replace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -74,7 +73,7 @@ def _fit_kwargs(args) -> dict:
 def _splits(n: int, folds: int, seed: int, holdout: Optional[float] = None) -> List[Split]:
     """(train, test) index pairs: k folds, or one shuffled holdout split."""
     if holdout is not None:
-        perm = np.random.default_rng(seed).permutation(n)
+        perm = dio._rng(seed).permutation(n)
         n_test = max(1, int(round(n * holdout)))
         return [(perm[n_test:], perm[:n_test])]
     if folds < 2:
@@ -205,7 +204,7 @@ def cmd_cv(args) -> int:
             first candidate with the lowest mean KL wins."""
             sub = dio.subset(ds, train)
             inner = _splits(sub.n, 5, args.seed)
-            cands = [(tag, variant, replace(hp, alpha=a, lam=l)) for tag, variant, hp in runs
+            cands = [(tag, variant, hp.replace(alpha=a, lam=l)) for tag, variant, hp in runs
                      for a, l in itertools.product(grid.get("alpha", (hp.alpha,)),
                                                    grid.get("lambda", (hp.lam,)))]
             kl = [row.scores.kl for row in _rows(sub, cands, inner, fit_kwargs)]
@@ -257,7 +256,7 @@ def cmd_sweep(args) -> int:
               if args.values is not None else PARAM_GRID_DEFAULT)
     variant = Variant(args.variant)
     field = "alpha" if args.param == "alpha" else "lam"
-    runs = [(f"{variant.value}[{args.param}={value:g}]", variant, replace(hp, **{field: value}))
+    runs = [(f"{variant.value}[{args.param}={value:g}]", variant, hp.replace(**{field: value}))
             for value in values]
     rows = _rows(ds, runs, _splits(ds.n, args.folds, args.seed), _fit_kwargs(args))
     print(render(rows, args.fmt), end="")

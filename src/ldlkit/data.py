@@ -42,7 +42,6 @@ import os
 import re
 import tempfile
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Tuple
 
@@ -52,6 +51,7 @@ from .errors import LdlError, ParseError, ShapeMismatch
 from .types import (
     FeatureMatrix,
     LabelDistributionMatrix,
+    Record,
     validate_distribution_matrix,
 )
 
@@ -67,8 +67,10 @@ _CACHE_ENTRIES = 16
 _WRITE_ROWS = 2048
 
 
-@dataclass(frozen=True)
-class Dataset:
+class Dataset(Record):
+    """A named pair of features X (n, d) and distributions D (m, n) over the
+    same n instances, with optional label names."""
+
     name: str
     X: FeatureMatrix
     D: LabelDistributionMatrix
@@ -93,8 +95,7 @@ class Dataset:
         return self.D.m
 
 
-@dataclass(frozen=True)
-class FoldPlan:
+class FoldPlan(Record):
     """Assignment of each instance to one of ``k`` folds, balanced to within one."""
 
     k: int
@@ -358,6 +359,15 @@ def save_dataset(ds: Dataset, path) -> None:
             write_rows(fh, np.hstack([X, Drows]), "%.17g", ",", "\r\n")
 
 
+def _rng(seed: int) -> np.random.Generator:
+    """numpy's generator for ``seed``; a seed numpy rejects is a ValueError
+    that names it."""
+    try:
+        return np.random.default_rng(seed)
+    except ValueError:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed}") from None
+
+
 def synth_lowrank(
     n: int, d: int, m: int, r: int, noise: float = 0.1, seed: int = 0
 ) -> Dataset:
@@ -375,7 +385,7 @@ def synth_lowrank(
         raise ValueError(f"r={r} must not exceed min(m, n)={min(m, n)}")
     if not (math.isfinite(noise) and noise >= 0):
         raise ValueError(f"noise must be finite and nonnegative, got {noise}")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     coeff = rng.standard_normal((m, r)) @ rng.standard_normal((r, d))
     X = rng.standard_normal((n, d))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -395,7 +405,7 @@ def kfold(n: int, k: int = 10, seed: int = 42) -> FoldPlan:
         raise ValueError(f"k must be at least 2, got {k}")
     if n < k:
         raise ValueError(f"cannot split {n} instances into {k} folds")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     order = rng.permutation(n)
     assignments = np.empty(n, dtype=np.int64)
     base, extra = divmod(n, k)

@@ -9,11 +9,10 @@ renormalized before taking logs, and true-zero entries contribute 0.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ShapeMismatch
+from .types import Record
 
 KL_EPS = 1e-12
 
@@ -65,8 +64,7 @@ def intersection(d, p) -> float:
     return _column_score(d, p, "intersection")
 
 
-@dataclass(frozen=True)
-class EvalReport:
+class EvalReport(Record):
     """Mean scores over a prediction set, one per metric, plus dispersion."""
 
     chebyshev: float

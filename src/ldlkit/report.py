@@ -12,16 +12,15 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .metrics import METRIC_NAMES, EvalReport
+from .types import Record
 
 
-@dataclass(frozen=True)
-class ResultRow:
+class ResultRow(Record):
     """One run's scores on one dataset."""
 
     dataset: str

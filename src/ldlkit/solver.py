@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import functools
 import zipfile
-from dataclasses import dataclass, fields
 from typing import List, Optional, Union
 
 import numpy as np
@@ -61,6 +60,7 @@ from .types import (
     Hyperparams,
     LabelDistributionMatrix,
     LdlModel,
+    Record,
     Standardizer,
     Variant,
     parse_degradation,
@@ -75,8 +75,10 @@ MU_GROWTH = 1.1
 _TRACE_BATCH = 32       # iterations whose objective spectra one stacked SVD takes
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(Record):
+    """A fit's model, the iterations run, the last relative primal residual,
+    the objective per iteration, and whether residual and W change met ``tol``."""
+
     model: LdlModel
     iterations_run: int
     final_primal_residual: float
@@ -102,6 +104,8 @@ def svt(A: np.ndarray, tau: float) -> np.ndarray:
             return np.zeros(A.shape)
     try:
         U, s, Vt = np.linalg.svd(A, full_matrices=False)
+        if not np.isfinite(s).all():        # numpy's answer to an inf entry: NaN factors
+            raise np.linalg.LinAlgError("non-finite singular values")
     except np.linalg.LinAlgError as exc:
         raise SvdFailure(f"SVD did not converge on a {A.shape} matrix") from exc
     s = np.maximum(s - tau, 0.0)
@@ -440,9 +444,9 @@ def save_model(model: LdlModel, path) -> None:
         "bias": np.bool_(model.bias),
         "has_standardizer": np.bool_(model.standardizer is not None),
     }
-    for f in fields(Hyperparams):
-        value = getattr(hp, f.name)
-        arrays[f.name] = np.str_(str(value)) if f.name == "degradation" else np.asarray(value)
+    for name in Hyperparams._fields:
+        value = getattr(hp, name)
+        arrays[name] = np.str_(str(value)) if name == "degradation" else np.asarray(value)
     if model.standardizer is not None:
         arrays["feature_mean"] = model.standardizer.mean
         arrays["feature_std"] = model.standardizer.std
@@ -498,9 +502,8 @@ def _model_from_archive(z) -> LdlModel:
     if version != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format version {version}")
     hp = Hyperparams(**{
-        f.name: parse_degradation(str(scalar(f.name))) if f.name == "degradation"
-        else scalar(f.name)
-        for f in fields(Hyperparams)
+        name: parse_degradation(str(scalar(name))) if name == "degradation" else scalar(name)
+        for name in Hyperparams._fields
     })
     scaler = None
     if bool(scalar("has_standardizer")):

@@ -348,6 +348,21 @@ def test_bad_cv_argument_is_named(capsys, synth_file, argv, message):
     assert (code, stdout, stderr) == (1, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ("cv", "{ds}", "--folds", "3"),
+    ("sweep", "{ds}", "--param", "alpha", "--values", "0.1", "--folds", "3"),
+    ("ablate", "{ds}", "--folds", "3"),
+    ("ablate", "{ds}", "--holdout", "0.3"),
+    ("synth", "--out", "{out}"),
+])
+def test_a_negative_seed_is_named(tmp_path, capsys, synth_file, argv):
+    out = tmp_path / "ds.txt"
+    argv = [arg.format(ds=synth_file, out=out) for arg in argv]
+    code, stdout, stderr = run(capsys, *argv, "--seed", "-1")
+    assert (code, stdout, stderr) == (1, "", "error: seed must be a nonnegative integer, got -1\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("holdout", ["1.5", "0", "1"])
 def test_holdout_outside_the_unit_interval_is_a_clean_error(capsys, synth_file, holdout):
     code, stdout, stderr = run(capsys, "ablate", synth_file, "--holdout", holdout)

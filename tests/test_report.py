@@ -1,6 +1,5 @@
 import csv
 import re
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -58,7 +57,7 @@ def test_csv_layout():
 
 
 def test_csv_quotes_a_name_holding_a_comma_or_quote():
-    rows = [replace(r, dataset='a,"b"') for r in sample_rows()]
+    rows = [r.replace(dataset='a,"b"') for r in sample_rows()]
     lines = render(rows, "csv").splitlines()
     assert lines[1].startswith('"a,""b""",full,chebyshev,')
     parsed = list(csv.reader(lines))
@@ -67,7 +66,7 @@ def test_csv_quotes_a_name_holding_a_comma_or_quote():
 
 
 def test_markdown_escapes_a_pipe_in_a_name():
-    rows = [replace(r, dataset="a|b", variant="x|y") for r in sample_rows()]
+    rows = [r.replace(dataset="a|b", variant="x|y") for r in sample_rows()]
     line = render(rows, "md").splitlines()[2]
     assert line.startswith("| a\\|b | x\\|y | ")
     assert len(re.split(r"(?<!\\)\|", line)) == 2 + 2 + 6
@@ -75,7 +74,7 @@ def test_markdown_escapes_a_pipe_in_a_name():
 
 @pytest.mark.parametrize("name", ["a\nb", "a\rb", "a\r\nb"])
 def test_markdown_makes_a_line_break_in_a_name_a_space(name):
-    rows = [replace(r, dataset=name) for r in sample_rows()]
+    rows = [r.replace(dataset=name) for r in sample_rows()]
     lines = render(rows, "md").splitlines()
     assert len(lines) == 3
     assert lines[2].startswith("| a b | full | ")
@@ -126,7 +125,7 @@ def test_markdown_groups_variants():
 def test_runs_sharing_a_tag_keep_a_line_each():
     # e.g. `cv --variants full,full` or `sweep --values 0.1,0.1`
     row = sample_rows()[0]
-    rows = [row, replace(row, scores=replace(row.scores, kl=0.5))]
+    rows = [row, row.replace(scores=row.scores.replace(kl=0.5))]
     md_lines = render(rows, "md").splitlines()[2:]
     records = csv_records(rows)[1:]
     assert len(md_lines) == 2 and len(records) == 12

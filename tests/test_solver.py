@@ -205,10 +205,12 @@ def test_svt_on_a_nan_still_names_the_failed_svd(tau):
 @pytest.mark.parametrize("bad", [np.inf, -np.inf])
 @pytest.mark.parametrize("tau", [0.1, 1e6, np.inf])
 def test_svt_on_an_inf_still_takes_the_svd(svd_calls, bad, tau):
-    # No bound is proved on an infinite matrix, so it goes to the SVD as before.
+    # No bound is proved on an infinite matrix, so it goes to the SVD, whose
+    # NaN factors are reported as the failed SVD they are.
     A = np.full((3, 4), 1e-3)
     A[1, 2] = bad
-    svt(A, tau)
+    with pytest.raises(SvdFailure, match=r"SVD did not converge on a \(3, 4\) matrix"):
+        svt(A, tau)
     assert svd_calls == [(3, 4)]
 
 

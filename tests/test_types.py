@@ -1,14 +1,20 @@
 import re
-from dataclasses import fields
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import ldlkit
 from ldlkit import (
+    Dataset,
+    EvalReport,
     FeatureMatrix,
+    FitResult,
+    FoldPlan,
     Hyperparams,
     LabelDistributionMatrix,
+    LdlModel,
     MultiLabelMatrix,
     Standardizer,
     ThresholdDegrade,
@@ -18,6 +24,7 @@ from ldlkit import (
     validate_distribution_matrix,
 )
 from ldlkit.errors import ColumnNotSimplex, ShapeMismatch
+from ldlkit.report import ResultRow
 
 
 def test_accepts_reference_distribution():
@@ -158,5 +165,113 @@ def test_every_exported_name_resolves_and_removed_names_are_gone():
         for name in names:
             assert not hasattr(ldlkit, name), name
             assert not hasattr(getattr(ldlkit, module), name), f"{module}.{name}"
-    assert [f.name for f in fields(Hyperparams)] == ["alpha", "lam", "degradation",
-                                                     "max_iters", "tol"]
+    assert Hyperparams._fields == ("alpha", "lam", "degradation", "max_iters", "tol")
+
+
+def record_cases():
+    """Per record: positional arguments for every field, its defaults, a valid
+    change, a change its validation rejects (with the error), and the repr the
+    record had as a dataclass."""
+    fm = FeatureMatrix(np.array([[1.0, 2.0]]))
+    rep_args = (0.1, 0.2, 0.3, 0.4, 0.9, 0.8, 0.01, 0.02, 0.03, 0.04, 0.05, 0.06, 7)
+    rep = EvalReport(*rep_args)
+    model = LdlModel(np.array([[1.0, 0.5]]), Variant.FULL, Hyperparams(), None, True)
+    hp_repr = ("Hyperparams(alpha=0.1, lam=0.1, degradation=ThresholdDegrade(t=0.5), "
+               "max_iters=200, tol=1e-05)")
+    model_repr = (f"LdlModel(W=array([[1. , 0.5]]), variant=<Variant.FULL: 'full'>, "
+                  f"hyperparams={hp_repr}, standardizer=None, bias=True)")
+    rep_repr = ("EvalReport(chebyshev=0.1, clark=0.2, canberra=0.3, kl=0.4, cosine=0.9, "
+                "intersection=0.8, chebyshev_std=0.01, clark_std=0.02, canberra_std=0.03, "
+                "kl_std=0.04, cosine_std=0.05, intersection_std=0.06, n_evaluated=7)")
+    nan = np.array([[np.nan]])
+    cases = [
+        (FeatureMatrix, (fm.data,), {}, {"data": np.array([[3.0]])},
+         ({"data": nan}, ValueError), "FeatureMatrix(data=array([[1., 2.]]))"),
+        (LabelDistributionMatrix, (np.array([[0.25], [0.75]]),), {}, {"data": np.eye(1)},
+         ({"data": nan}, ValueError),
+         "LabelDistributionMatrix(data=array([[0.25],\n       [0.75]]))"),
+        (MultiLabelMatrix, (np.array([[1.0], [0.0]]),), {}, {"data": np.eye(1)},
+         ({"data": np.array([[0.5]])}, ValueError),
+         "MultiLabelMatrix(data=array([[1.],\n       [0.]]))"),
+        (ThresholdDegrade, (0.3,), {"t": 0.5}, {"t": 0.4}, ({"t": 2.0}, ValueError),
+         "ThresholdDegrade(t=0.3)"),
+        (TopKDegrade, (2,), {"k": 1}, {"k": 3}, ({"k": 0}, ValueError), "TopKDegrade(k=2)"),
+        (Hyperparams, (0.2, 0.3, TopKDegrade(2), 50, 1e-4),
+         {"alpha": 0.1, "lam": 0.1, "degradation": ThresholdDegrade(), "max_iters": 200,
+          "tol": 1e-5},
+         {"alpha": 0.5}, ({"alpha": -1}, ValueError),
+         "Hyperparams(alpha=0.2, lam=0.3, degradation=TopKDegrade(k=2), max_iters=50, "
+         "tol=0.0001)"),
+        (Standardizer, (np.array([0.0]), np.array([1.0])), {}, {"std": np.array([2.0])},
+         ({"mean": np.array([np.inf])}, ValueError),
+         "Standardizer(mean=array([0.]), std=array([1.]))"),
+        (LdlModel, (model.W, Variant.FULL, Hyperparams(), None, True),
+         {"standardizer": None, "bias": True}, {"bias": False},
+         ({"W": np.array([[np.nan, 1.0]])}, ValueError), model_repr),
+        (Dataset, ("toy", fm, LabelDistributionMatrix(np.eye(1)), None), {"label_names": None},
+         {"name": "other"}, ({"D": LabelDistributionMatrix(np.ones((1, 2)))}, ShapeMismatch),
+         "Dataset(name='toy', X=FeatureMatrix(data=array([[1., 2.]])), "
+         "D=LabelDistributionMatrix(data=array([[1.]])), label_names=None)"),
+        (FoldPlan, (2, np.array([0, 1])), {}, {"k": 3}, ({"assignments": ["x"]}, ValueError),
+         "FoldPlan(k=2, assignments=array([0, 1]))"),
+        (FitResult, (model, 3, 0.5, [1.0, 0.5], True), {}, {"converged": False}, None,
+         f"FitResult(model={model_repr}, iterations_run=3, final_primal_residual=0.5, "
+         f"objective_trace=[1.0, 0.5], converged=True)"),
+        (EvalReport, rep_args, {}, {"kl": 0.5}, None, rep_repr),
+        (ResultRow, ("toy", "full", rep), {}, {"variant": "ablation-a"}, None,
+         f"ResultRow(dataset='toy', variant='full', scores={rep_repr})"),
+    ]
+    return [pytest.param(*case, id=case[0].__name__) for case in cases]
+
+
+HASHABLE = (ThresholdDegrade, TopKDegrade, Hyperparams, EvalReport, ResultRow)
+
+
+@pytest.mark.parametrize("cls, args, defaults, change, bad, golden", record_cases())
+def test_records_are_frozen_value_types(cls, args, defaults, change, bad, golden):
+    a, b = cls(*args), cls(**dict(zip(cls._fields, args)))
+    assert repr(a) == repr(b) == golden
+    assert a == b and a is not b
+    assert a.__eq__(golden) is NotImplemented and a != golden
+    required = args[:len(args) - len(defaults)]
+    assert cls._fields[len(required):] == tuple(defaults)
+    assert {name: getattr(cls(*required), name) for name in defaults} == defaults
+    if required:
+        last = cls._fields[len(required) - 1]
+        with pytest.raises(TypeError, match=f"missing argument '{last}'"):
+            cls(*required[:-1])
+    with pytest.raises(TypeError, match="unexpected argument 'bogus'"):
+        cls(*args, bogus=1)
+    with pytest.raises(TypeError, match=f"multiple values for '{cls._fields[0]}'"):
+        cls(*args, **{cls._fields[0]: args[0]})
+    with pytest.raises(TypeError, match=f"takes {len(args)} arguments"):
+        cls(*args, None)
+    with pytest.raises(AttributeError, match="cannot assign to or delete"):
+        setattr(a, cls._fields[0], args[0])
+    with pytest.raises(AttributeError, match="cannot assign to or delete"):
+        delattr(a, cls._fields[0])
+    c = a.replace(**change)
+    assert type(c) is cls and repr(a) == golden and repr(c) != golden
+    assert all(getattr(c, name) is getattr(a, name) for name in cls._fields if name not in change)
+    if cls in HASHABLE:
+        assert hash(a) == hash(b) and a != c
+    else:                                   # an array or list field, as with a dataclass
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(a)
+    if bad is not None:
+        with pytest.raises(bad[1]):
+            a.replace(**bad[0])
+
+
+def test_replace_validates_and_converts_again():
+    with pytest.raises(ValueError, match="alpha must be nonnegative, got -1"):
+        Hyperparams().replace(alpha=-1)
+    assert type(Hyperparams().replace(max_iters=5.0).max_iters) is int
+    assert Hyperparams().degradation is Hyperparams().degradation
+
+
+def test_importing_the_cli_loads_no_dataclasses():
+    # The records are plain classes: defining them compiles no methods at import.
+    script = "import sys, ldlkit.cli; print('dataclasses' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
