@@ -4,12 +4,14 @@ Subcommands: train, predict, evaluate, cv, ablate, degrade, sweep, synth.
 Every command taking --seed is fully deterministic in its output bytes, and
 every fit appends a constant-1 feature column.  Non-convergence of the solver
 is never signalled through the exit code: train reports it in its output,
-while cv, ablate and sweep do not report it yet.  Module errors print a
+while cv, ablate and sweep do not report it yet.  Their fits, unlike train's,
+record no objective, which no command prints.  Module errors print a
 diagnostic and exit nonzero; a reader closing stdout early (``| head``) ends
 a command quietly with exit code 1, its unread output sent to devnull.
 The process entry :func:`entry` freezes the import-time heap (``gc.freeze``)
-so no collection, the one at exit included, scans it again; :func:`main` has
-no such side effect, for callers that run it in process.
+so no collection, the one at exit included, scans it again, and prints each
+warning as one ``warning:`` line; :func:`main` has no such side effect, for
+callers that run it in process, where a warning stays a warning.
 """
 from __future__ import annotations
 
@@ -18,6 +20,7 @@ import gc
 import itertools
 import os
 import sys
+import warnings
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -91,7 +94,8 @@ def _rows(ds, runs: Sequence[Run], splits: Sequence[Split], fit_kwargs: dict,
     for train, test in splits:
         split_runs = tune(train, runs) if tune else runs
         results = _fit_split(ds.X.data[train], ds.D.data[:, train],
-                             [(variant, hp) for _, variant, hp in split_runs], **fit_kwargs)
+                             [(variant, hp) for _, variant, hp in split_runs], **fit_kwargs,
+                             trace=False)
         for run_reports, res in zip(reports, results):
             run_reports.append(evaluate(ds.D.data[:, test], predict(res.model, ds.X.data[test])))
     return [report_row(ds.name, tag, run_reports)
@@ -195,9 +199,14 @@ def cmd_cv(args) -> int:
     if not variants:
         raise ValueError(f"--variants {args.variants!r} lists no variants")
     fit_kwargs = _fit_kwargs(args)
+    grid = _parse_grid(args.grid) if args.grid else None
+    splits = _splits(ds.n, args.folds, args.seed)
     tune = None
-    if args.grid:
-        grid = _parse_grid(args.grid)
+    if grid:
+        n_train = min(len(train) for train, _ in splits)
+        if n_train < 5:
+            raise ValueError(f"--grid's inner 5-fold search cannot split a training split "
+                             f"of {n_train} instances into 5 folds")
 
         def tune(train, runs: Sequence[Run]) -> List[Run]:
             """Inner 5-fold search on the training split, for each run; the
@@ -213,7 +222,7 @@ def cmd_cv(args) -> int:
                     for start in range(0, len(cands), per_run)]
 
     runs = [(v.value, v, hp) for v in variants]
-    rows = _rows(ds, runs, _splits(ds.n, args.folds, args.seed), fit_kwargs, tune)
+    rows = _rows(ds, runs, splits, fit_kwargs, tune)
     print(render(rows, args.fmt), end="")
     return 0
 
@@ -356,6 +365,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 def entry() -> int:
     """``python -m ldlkit`` and the ``ldlkit`` script: :func:`main` on sys.argv."""
     gc.freeze()
+    warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
     return main()
 
 

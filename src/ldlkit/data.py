@@ -42,6 +42,7 @@ import os
 import re
 import tempfile
 import time
+import warnings
 from pathlib import Path
 from typing import Optional, Sequence, Tuple
 
@@ -132,7 +133,7 @@ def load_dataset(path) -> Dataset:
     """Load a dataset named after the file's stem, validating and (within
     tolerance) renormalizing the distribution columns.  The file is read
     once, and parsed only when the parse cache holds no entry for its bytes.
-    Toolkit errors name the file; a ParseError keeps its ``line``."""
+    Toolkit errors and warnings name the file; a ParseError keeps its ``line``."""
     path = resolve_data_path(path)
     with open(path, "rb") as fh:
         data = fh.read()
@@ -146,7 +147,12 @@ def load_dataset(path) -> Dataset:
             parsed = _load_csv(data) if fmt == "CSV" else _load_matrix_text(data)
             _cache_write(entry, digest, *parsed)
         X, Drows, labels = parsed
-        return Dataset(path.stem, FeatureMatrix(X), validate_distribution_matrix(Drows.T), labels)
+        with warnings.catch_warnings(record=True) as caught:   # issued again, naming the file
+            warnings.simplefilter("always")
+            X, D = FeatureMatrix(X), validate_distribution_matrix(Drows.T)
+        for w in caught:
+            warnings.warn(f"{w.message} in {path}", w.category, stacklevel=2)
+        return Dataset(path.stem, X, D, labels)
     except LdlError as exc:
         exc.args = (f"{path}: {exc}",)
         raise

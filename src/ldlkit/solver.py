@@ -27,7 +27,9 @@ too, and the loop runs in the eigenbasis V of X'X: it carries W V, so each
 W-step is a diagonal or 2m x 2m solve, no iteration takes a d x d product,
 and W is rotated back once.  An iteration whose G is provably zero (see
 ``svt``) takes no SVD, and the objective trace takes its spectra from one
-stacked SVD per ``_TRACE_BATCH`` iterations.  numpy suffices.
+stacked SVD per ``_TRACE_BATCH`` iterations.  Only ``fit`` records that
+trace: the fits of the CLI's ``cv``, ``ablate`` and ``sweep`` record none.
+numpy suffices.
 
 Every instance-indexed object of the loop lies in the span of [X, D', L'], of
 width b <= d + 2m (d + m for ablation-a, which has no L).  So when b < n,
@@ -48,6 +50,7 @@ itself (no auxiliary task); ``ablation-b`` is plain ridge regression.
 from __future__ import annotations
 
 import functools
+import math
 import zipfile
 from typing import List, Optional, Union
 
@@ -77,7 +80,9 @@ _TRACE_BATCH = 32       # iterations whose objective spectra one stacked SVD tak
 
 class FitResult(Record):
     """A fit's model, the iterations run, the last relative primal residual,
-    the objective per iteration, and whether residual and W change met ``tol``."""
+    the objective per iteration, and whether residual and W change met ``tol``.
+    ``fit`` (and so ``train``) records the objective; the fits of ``cv``,
+    ``ablate`` and ``sweep`` record none and carry ``objective_trace=[]``."""
 
     model: LdlModel
     iterations_run: int
@@ -233,16 +238,19 @@ def _w_steps(spectrum, lam: float):
     s, _, XV, DXV = spectrum
     _check_rank(s, lam, "W-step")
     a = s + 2.0 * lam                                       # eigenvalues of A
+    m = len(DXV)
+    UtXV = np.vstack([DXV, DXV])            # U'XV = [DXV; Wv s]; each step fills Wv s
+    eye, a_col = np.eye(min(len(XV), 2 * m)), a[:, np.newaxis]   # R has min(rows, 2m) rows
 
     def step(Wv, K, R, Gm, penalty: float) -> np.ndarray:
         """The next Wv, from Gm = mu G - multipliers and the last O-step's K and R."""
         if K is None:
             return (DXV + Gm @ XV) / (a + penalty * s)
-        XVU = np.vstack([DXV, Wv * s]).T                    # (d, 2m)
-        Z = (DXV + (Gm @ K.T) @ XVU.T) / a
-        F = np.sqrt(penalty) * XVU @ R.T
-        Y = F / a[:, np.newaxis]
-        core = np.eye(F.shape[1]) + F.T @ Y                 # symmetric
+        np.multiply(Wv, s, out=UtXV[m:])
+        Z = (DXV + (Gm @ K.T) @ UtXV) / a
+        F = math.sqrt(penalty) * UtXV.T @ R.T
+        Y = F / a_col
+        core = eye + F.T @ Y                                # symmetric
         try:
             return Z - np.linalg.solve(core, (Z @ F).T).T @ Y.T
         except np.linalg.LinAlgError as exc:
@@ -251,12 +259,13 @@ def _w_steps(spectrum, lam: float):
     return DXV / a, step
 
 
-def _admm(D, L, hp: Hyperparams, spectrum):
+def _admm(D, L, hp: Hyperparams, spectrum, trace: bool = True):
     """The splitting loop on Wv = W V (see :func:`_w_steps`, given X's
     ``spectrum``), P = W X' and PO = P O; O = U K with U = [D' P'], or I while
     K is None (ablation-a: L None).  T = U'U K holds D O and P O, <T, K> is
     ||O||^2, and N = (P U) R' for R of K' = Q R has P O's singular values, which
-    the trace takes from one stacked SVD per ``_TRACE_BATCH`` iterations.
+    the trace takes from one stacked SVD per ``_TRACE_BATCH`` iterations; with
+    ``trace`` off no objective term is formed and the trace is [].
     Raises NonFiniteIterate at the first non-finite primal residual or W
     change.  Returns W, the iterations run, the last primal residual, the
     trace and converged."""
@@ -267,7 +276,7 @@ def _admm(D, L, hp: Hyperparams, spectrum):
     upper = np.triu(np.ones((min(D.shape[1], 2 * m), 2 * m), bool))  # triu mask, once per fit
     PO = Wv @ XV.T
     K = R = None
-    multipliers, penalty, trace, terms = np.zeros(D.shape), MU0, [], []
+    multipliers, penalty, objective, terms = np.zeros(D.shape), MU0, [], []
     # An overflowing iterate is reported once, as NonFiniteIterate, not as
     # numpy warnings from the steps before the check.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -277,14 +286,12 @@ def _admm(D, L, hp: Hyperparams, spectrum):
             Wv_new = w_step(Wv, K, R, Gm, penalty)
             w_change = _norm(Wv_new - Wv) / max(1.0, _norm(Wv))
             Wv = Wv_new
-            P = PO = N = Wv @ XV.T
-            o_terms = 0.0
+            P = PO = Wv @ XV.T
             if o_step is not None:
                 UtU, K = o_step(P, Gm, penalty)
                 raw = np.linalg.qr(K.T, mode="raw")[0].T       # R above the reflectors
                 R, T = np.where(upper, raw[:len(upper)], 0.0), UtU @ K
-                PO, N = T[m:], UtU[m:] @ R.T
-                o_terms = _norm(T[:m] - L) ** 2 + hp.lam * (T * K).sum()
+                PO = T[m:]
             residual = G - PO
             primal = float(_norm(residual) / max(1.0, _norm(G)))
             if not (np.isfinite(primal) and np.isfinite(w_change)):
@@ -292,13 +299,16 @@ def _admm(D, L, hp: Hyperparams, spectrum):
                                        f" primal residual {primal:g}, W change {w_change:g})")
             multipliers = multipliers - penalty * residual
             penalty = min(MU_GROWTH * penalty, MU_MAX)
-            terms.append((0.5 * _norm(P - D) ** 2, N, hp.lam * _norm(Wv) ** 2, o_terms))
             converged = bool(primal <= hp.tol and w_change <= hp.tol)
-            if converged or it == hp.max_iters or len(terms) == _TRACE_BATCH:
-                trace, terms = trace + _trace(hp.alpha, terms), []
+            if trace:
+                N, o_terms = (P, 0.0) if K is None else (
+                    UtU[m:] @ R.T, _norm(T[:m] - L) ** 2 + hp.lam * (T * K).sum())
+                terms.append((0.5 * _norm(P - D) ** 2, N, hp.lam * _norm(Wv) ** 2, o_terms))
+                if converged or it == hp.max_iters or len(terms) == _TRACE_BATCH:
+                    objective, terms = objective + _trace(hp.alpha, terms), []
             if converged:
                 break
-    return Wv @ V.T, it, primal, trace, converged
+    return Wv @ V.T, it, primal, objective, converged
 
 
 def _ridge(gram, DX, lam: float, eigen):
@@ -354,10 +364,11 @@ def fit(
 
 
 def _fit_split(X, D, runs, standardize_features: bool = True,
-               add_bias: bool = True) -> List[FitResult]:
+               add_bias: bool = True, trace: bool = True) -> List[FitResult]:
     """:func:`fit` for each (variant, hp) of ``runs`` on one X and D, bit for
-    bit.  The design, its Gram X'X, L per degradation and the instance basis
-    are taken once, and X'X's eigendecomposition at most once, on first use."""
+    bit, but with an empty ``objective_trace`` when ``trace`` is off.  The
+    design, its Gram X'X, L per degradation and the instance basis are taken
+    once, and X'X's eigendecomposition at most once, on first use."""
     if not isinstance(X, FeatureMatrix):
         X = FeatureMatrix(X)
     D = validate_distribution_matrix(D)
@@ -382,8 +393,11 @@ def _fit_split(X, D, runs, standardize_features: bool = True,
         variant = Variant(variant)
         if variant is Variant.ABLATION_B:
             W = _ridge(gram, Dw @ Xw, hp.lam, eigen)
-            P, iterations, primal, converged = W @ Xw.T, 0, 0.0, True
-            trace = _trace(0.0, [(0.5 * _norm(P - Dw) ** 2, P, hp.lam * _norm(W) ** 2, 0.0)])
+            iterations, primal, converged, objective = 0, 0.0, True, []
+            if trace:
+                P = W @ Xw.T
+                f, w = 0.5 * _norm(P - Dw) ** 2, hp.lam * _norm(W) ** 2
+                objective = _trace(0.0, [(f, P, w, 0.0)])
         else:
             key = (variant, hp.degradation if variant is Variant.FULL else None)
             if key not in bases:
@@ -392,10 +406,10 @@ def _fit_split(X, D, runs, standardize_features: bool = True,
                 s, V = eigen()
                 bases[key] = Db, Lb, (s, V, Xb @ V, (Db @ Xb) @ V)
             Db, Lb, spectrum = bases[key]
-            W, iterations, primal, trace, converged = _admm(Db, Lb, hp, spectrum)
+            W, iterations, primal, objective, converged = _admm(Db, Lb, hp, spectrum, trace)
         model = LdlModel(W=W, variant=variant, hyperparams=hp,
                          standardizer=scaler, bias=add_bias)
-        results.append(FitResult(model, iterations, primal, trace, converged))
+        results.append(FitResult(model, iterations, primal, objective, converged))
     return results
 
 

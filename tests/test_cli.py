@@ -348,6 +348,16 @@ def test_bad_cv_argument_is_named(capsys, synth_file, argv, message):
     assert (code, stdout, stderr) == (1, "", f"error: {message}\n")
 
 
+def test_a_grid_search_a_training_split_cannot_hold_is_named(tmp_path, capsys):
+    # Two folds of 9 instances leave training splits of 5 and 4 instances,
+    # too few for the 5 folds of --grid's inner search.
+    path = tmp_path / "nine.txt"
+    save_dataset(synth_lowrank(9, 3, 3, 2, 0.1, seed=0), path)
+    code, stdout, stderr = run(capsys, "cv", str(path), "--folds", "2", "--grid", "alpha=0.1")
+    assert (code, stdout, stderr) == (1, "", "error: --grid's inner 5-fold search cannot "
+                                      "split a training split of 4 instances into 5 folds\n")
+
+
 @pytest.mark.parametrize("argv", [
     ("cv", "{ds}", "--folds", "3"),
     ("sweep", "{ds}", "--param", "alpha", "--values", "0.1", "--folds", "3"),
@@ -537,6 +547,20 @@ def test_exit_codes_through_the_process_entry(tmp_path, synth_file):
     code, stderr = run_m("degrade", synth_file, "--no-such-flag")
     assert code == 2 and stderr.startswith("usage: ldlkit [-h] ")
     assert stderr.endswith("\nldlkit: error: unrecognized arguments: --no-such-flag\n")
+
+
+def test_the_process_entry_prints_a_warning_as_one_line_naming_the_file(tmp_path, capsys):
+    # A distribution column whose sum is off by 5e-8 is renormalized with a
+    # warning: in process a UserWarning, from the process entry one line.
+    path = tmp_path / "off.txt"
+    path.write_text("2 1 2\n1.0\n2.0\n0.70000005 0.3\n0.5 0.5\n", encoding="utf-8")
+    proc = subprocess.run([sys.executable, "-m", "ldlkit", "degrade", str(path)],
+                          capture_output=True, text=True)
+    message = f"renormalized 1 column(s) whose sums deviated from 1 by up to 5.00e-08 in {path}"
+    assert (proc.returncode, proc.stderr) == (0, f"warning: {message}\n")
+    with pytest.warns(UserWarning) as caught:
+        assert run(capsys, "degrade", str(path)) == (0, proc.stdout, "")
+    assert [str(w.message) for w in caught] == [message]
 
 
 def test_the_console_script_starts_through_the_entry_python_dash_m_calls(monkeypatch):

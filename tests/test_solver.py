@@ -728,17 +728,18 @@ def test_sweep_ablate_and_grid_take_one_eigendecomposition_per_training_split(
     # X'X: sweep's three values, and ablate's full and ablation-a runs beside
     # ablation-b's one solve. cv --grid takes one per inner and one per outer
     # training split, not one per candidate or variant. The per-iteration
-    # solves, QRs and SVDs stay as the test above pins them.
+    # solves and QRs stay as the test above pins them, but these fold fits
+    # record no objective, so they take no objective SVD; train still does.
     n, d, m, k, iters = 30, 24, 3, 3, 5       # each of the k training splits has 20 rows
     rows, b = n - n // k, d + 1 + 2 * m       # with the bias column, b = 31 >= 20
     assert rows <= b
     path = tmp_path / "wide.txt"
     save_dataset(synth_lowrank(n, d, m, 2, 0.1, seed=0), path)
 
-    def run(*argv):
+    def run(*argv, folds=("--folds", str(k))):
         for calls in linalg_calls.values():
             calls.clear()
-        assert main([*argv, str(path), "--folds", str(k), "--max-iters", str(iters),
+        assert main([*argv, str(path), *folds, "--max-iters", str(iters),
                      "--tol", "1e-15", "--format", "csv"]) == 0
         capsys.readouterr()
         return linalg_calls
@@ -748,21 +749,24 @@ def test_sweep_ablate_and_grid_take_one_eigendecomposition_per_training_split(
     assert calls["eigh"] == [(d + 1, d + 1)] * k
     assert calls["solve"] == [(2 * m, 2 * m)] * ((2 * iters - 1) * full_fits)
     assert calls["qr"] == [((rows, 2 * m), "raw")] * (iters * full_fits)
-    assert calls["svdvals"] == [(m, 2 * m)] * (iters * full_fits)
+    assert calls["svdvals"] == []
 
     calls = run("ablate")
     assert calls["eigh"] == [(d + 1, d + 1)] * k
     assert sorted(calls["solve"]) == sorted(
         [(2 * m, 2 * m)] * ((2 * iters - 1) * k) + [(d + 1, d + 1)] * k)
     assert calls["qr"] == [((rows, 2 * m), "raw")] * (iters * k)
-    assert sorted(calls["svdvals"]) == sorted(        # ablation-b's objective: one
-        [(m, 2 * m), (m, rows)] * (iters * k) + [(m, rows)] * k)
+    assert calls["svdvals"] == []
 
     calls = run("cv", "--variants", "full,ablation-a", "--grid", "alpha=0.1,1;lambda=0.1,0.5")
     inner_rows = rows - rows // 5
     assert sorted(calls["eigh"]) == [(d + 1, d + 1)] * (k * (5 + 1))
     assert len(calls["qr"]) == iters * k * (5 * 4 + 1)
     assert {shape for shape, _ in calls["qr"]} == {(rows, 2 * m), (inner_rows, 2 * m)}
+    assert calls["svdvals"] == []
+
+    calls = run("train", folds=("--model-out", str(tmp_path / "model.npz")))
+    assert calls["svdvals"] == [(m, 2 * m)] * iters     # train records its objective
 
 
 @pytest.mark.parametrize("argv", [
@@ -788,18 +792,21 @@ def test_runs_fit_together_on_one_split_equal_separate_fits(n):
     # solver._fit_split shares the design, L, the instance basis and the
     # eigendecomposition of X'X between runs: at n = 40 the full and
     # ablation-a runs have their own R, at n = 12 only ablation-a has one, and
-    # at n = 9 every run shares the design's. Each run is bit-equal to fit.
+    # at n = 9 every run shares the design's. Each run is bit-equal to fit,
+    # and with trace off it records no objective.
     ds = synth_lowrank(n, 5, 4, 2, 0.1, seed=n)
     runs = [(variant, Hyperparams(alpha=alpha, lam=lam, degradation=degradation))
             for alpha in (0.01, 0.1, 1.0) for lam in (0.1, 0.01) for variant in Variant
             for degradation in (ThresholdDegrade(0.5), TopKDegrade(2))]
-    for (variant, hp), res in zip(runs, solver._fit_split(ds.X, ds.D, runs)):
-        alone = fit(ds.X, ds.D, hp, variant)
-        np.testing.assert_array_equal(res.model.W, alone.model.W)
-        assert res.objective_trace == alone.objective_trace
-        assert (res.iterations_run, res.final_primal_residual, res.converged) == (
-            alone.iterations_run, alone.final_primal_residual, alone.converged)
-        assert res.model.variant is variant and res.model.hyperparams == hp
+    alone = [fit(ds.X, ds.D, hp, variant) for variant, hp in runs]
+    for trace in (True, False):
+        results = solver._fit_split(ds.X, ds.D, runs, trace=trace)
+        for (variant, hp), res, one in zip(runs, results, alone):
+            np.testing.assert_array_equal(res.model.W, one.model.W)
+            assert res.objective_trace == (one.objective_trace if trace else [])
+            assert (res.iterations_run, res.final_primal_residual, res.converged) == (
+                one.iterations_run, one.final_primal_residual, one.converged)
+            assert res.model.variant is variant and res.model.hyperparams == hp
 
 
 @pytest.mark.parametrize("variant", ["full", "ablation-a"])
