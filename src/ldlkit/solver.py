@@ -12,33 +12,21 @@ closed-form updates plus a singular-value-thresholding step:
                       + lam (||W||_F^2 + ||O||_F^2)
     subject to        W X' O = G.
 
-All subproblems are solved exactly (no explicit inverses).  The coupling
-penalty's schedule belongs to the solver, not the model: it starts at ``MU0``
-(0.1), is multiplied by ``MU_GROWTH`` (1.1) after each iteration and is capped
-at ``MU_MAX`` (1e6).  The stopping rule combines the relative constraint
-residual with the relative change of W; a non-finite iterate raises
-``NonFiniteIterate``.  Nothing is randomized.
+Each subproblem is solved exactly, and no n x n or d x d system is formed:
+the O-step and W-step matrices are a ridge plus a rank-<=2m term, so each
+step reduces to a 2m x 2m system (see ``_o_steps`` and ``_w_steps``).  The
+coupling penalty's schedule belongs to the solver, not the model: it starts
+at ``MU0`` (0.1), is multiplied by ``MU_GROWTH`` (1.1) after each iteration
+and is capped at ``MU_MAX`` (1e6).  The stopping rule combines the relative
+constraint residual with the relative change of W; a non-finite iterate
+raises ``NonFiniteIterate``.  Nothing is randomized, and numpy suffices.
 
-The O-step matrix is 2 lam I plus a rank-<=2m term, so its minimizer is
-exactly O = U K with U = [D' P'] (n x 2m) and K from a 2m x 2m solve; ``fit``
-never builds an n x n array, nor U: each O-step forms the Gram U'U = Q Q' of
-Q = [D; P] once.  The W-step matrix is X'X + 2 lam I plus a rank-<=2m term
-too, and the loop runs in the eigenbasis V of X'X: it carries W V, so each
-W-step is a diagonal or 2m x 2m solve, no iteration takes a d x d product,
-and W is rotated back once.  An iteration whose G is provably zero (see
-``svt``) takes no SVD, and the objective trace takes its spectra from one
-stacked SVD per ``_TRACE_BATCH`` iterations.  Only ``fit`` records that
-trace: the fits of the CLI's ``cv``, ``ablate`` and ``sweep`` record none.
-numpy suffices.
-
-Every instance-indexed object of the loop lies in the span of [X, D', L'], of
-width b <= d + 2m (d + m for ablation-a, which has no L).  So when b < n,
-``fit`` takes R of one thin QR [X, D', L'] = Q R and runs the loop on R's
-column blocks in place of X, D' and L': no iteration touches an n-length
-vector, and Q is never formed.  When b >= n the loop runs on the instances.
-All runs on one training split (a cross-validated search) share its Gram X'X
-and at most one eigendecomposition of it, taken on first use; each loop runs
-in that V on its own basis.  Ablation-b at lam > 0 takes one solve with X'X.
+The loop runs on X's range, in the eigenbasis of X'X cut to the eigenvalues
+above numpy's matrix_rank tolerance: W's part in X's null space only adds to
+lam ||W||^2, so the minimizer has none, and no step divides that part's
+round-off by 2 lam.  All runs on one training split share its Gram X'X and at
+most one eigendecomposition of it; each loop runs on its own instance basis
+(see ``_instance_basis``).  Only ``fit`` records the objective trace.
 
 The public ``svt``, ``update_w`` and ``update_o`` are single dense steps at a
 given O, outside the loop: the tests build the loop's dense reference from them.
@@ -131,9 +119,14 @@ def _eigh_psd(M: np.ndarray, what: str):
     return np.maximum(s, 0.0), V
 
 
+def _rank_floor(s: np.ndarray) -> float:
+    """numpy's matrix_rank tolerance s.max() d eps, for ascending s."""
+    return s[-1] * len(s) * np.finfo(s.dtype).eps
+
+
 def _check_rank(s: np.ndarray, lam: float, what: str) -> None:
-    """At lam = 0, s.min() must exceed s.max() d eps, numpy's matrix_rank tolerance."""
-    if lam == 0.0 and s[0] <= s[-1] * len(s) * np.finfo(s.dtype).eps:
+    """At lam = 0, ascending s must lie above :func:`_rank_floor`."""
+    if lam == 0.0 and s[0] <= _rank_floor(s):
         raise SingularSystem(f"{what} system is rank-deficient; a positive lambda is required")
 
 
@@ -143,18 +136,22 @@ def _o_steps(D, L, lam: float):
     factor K of the O-step minimizer O = U K, where U' = Q = [D; P].  With
     C = diag(c) = diag(2 I_m, mu I_m), the O-step matrix is U C U' + 2 lam I,
     and the push-through identity gives K = (2 lam I + C U'U)^-1 [2 L; Gm].
+    The inverse comes from one solve for 2m right-hand sides, not n': its
+    forward error has an LU solve's bound (Higham 2002, sec. 14.1), and at
+    ``MU_MAX`` (cond up to 1e10) it was within a factor 1.33 of the solve's.
     """
     m, n = D.shape
     if lam == 0.0 and n > 2 * m:
         raise SingularSystem("O-step system is rank-deficient; a positive lambda is required")
     Q, rhs, c = np.empty((2 * m, n)), np.empty((2 * m, L.shape[1])), np.full(2 * m, 2.0)
-    Q[:m], rhs[:m], ridge = D, 2.0 * L, 2.0 * lam * np.eye(2 * m)
+    eye = np.eye(2 * m)
+    Q[:m], rhs[:m], ridge = D, 2.0 * L, 2.0 * lam * eye
 
     def step(P, Gm, penalty: float):
         Q[m:], rhs[m:], c[m:] = P, Gm, penalty
         UtU = Q @ Q.T                                       # (2m, 2m)
         try:
-            return UtU, np.linalg.solve(c[:, np.newaxis] * UtU + ridge, rhs)
+            return UtU, np.linalg.solve(c[:, np.newaxis] * UtU + ridge, eye) @ rhs
         except np.linalg.LinAlgError as exc:
             raise SingularSystem("O-step system is numerically singular") from exc
 
@@ -221,9 +218,10 @@ def _trace(alpha: float, terms) -> List[float]:
 
 
 def _w_steps(spectrum, lam: float):
-    """The ridge start Wv = W V and the W-step of one fit, in the eigenbasis
-    of X'X: ``spectrum`` holds s and V of X'X = V diag(s) V' (s clipped at 0),
-    XV = X V and DXV = (D X) V, and A = X'X + 2 lam I is diag(a).
+    """The ridge start Wv = W V and the W-step of one fit, on X's range:
+    ``spectrum`` holds the eigenpairs s, V of X'X on that range (every s above
+    the rank floor), XV = X V and DXV = (D X) V, and there A = X'X + 2 lam I
+    is diag(a), a = s + 2 lam > 0.
 
     The step maps Wv to the next Wv, and is diagonal while O = I.  Once
     O = U K with U = [D' P'] and P = Wv XV', XV'U is [DXV', s Wv'] because
@@ -236,7 +234,6 @@ def _w_steps(spectrum, lam: float):
     leaves one symmetric 2m x 2m system, solved for m right-hand sides.
     """
     s, _, XV, DXV = spectrum
-    _check_rank(s, lam, "W-step")
     a = s + 2.0 * lam                                       # eigenvalues of A
     m = len(DXV)
     UtXV = np.vstack([DXV, DXV])            # U'XV = [DXV; Wv s]; each step fills Wv s
@@ -263,12 +260,11 @@ def _admm(D, L, hp: Hyperparams, spectrum, trace: bool = True):
     """The splitting loop on Wv = W V (see :func:`_w_steps`, given X's
     ``spectrum``), P = W X' and PO = P O; O = U K with U = [D' P'], or I while
     K is None (ablation-a: L None).  T = U'U K holds D O and P O, <T, K> is
-    ||O||^2, and N = (P U) R' for R of K' = Q R has P O's singular values, which
-    the trace takes from one stacked SVD per ``_TRACE_BATCH`` iterations; with
-    ``trace`` off no objective term is formed and the trace is [].
-    Raises NonFiniteIterate at the first non-finite primal residual or W
-    change.  Returns W, the iterations run, the last primal residual, the
-    trace and converged."""
+    ||O||^2, and N = (P U) R', for R of K' = Q R, has P O's singular values:
+    one stacked SVD per ``_TRACE_BATCH`` iterations takes them if ``trace``.
+    Raises NonFiniteIterate, naming alpha and lambda, at the first non-finite
+    primal residual or W change.  Returns W, the iterations run, the last
+    primal residual, the trace ([] with ``trace`` off) and converged."""
     _, V, XV, _ = spectrum
     Wv, w_step = _w_steps(spectrum, hp.lam)
     o_step = None if L is None else _o_steps(D, L, hp.lam)
@@ -296,7 +292,8 @@ def _admm(D, L, hp: Hyperparams, spectrum, trace: bool = True):
             primal = float(_norm(residual) / max(1.0, _norm(G)))
             if not (np.isfinite(primal) and np.isfinite(w_change)):
                 raise NonFiniteIterate(f"iterate is not finite at iteration {it} (relative"
-                                       f" primal residual {primal:g}, W change {w_change:g})")
+                                       f" primal residual {primal:g}, W change {w_change:g})"
+                                       f" at alpha={hp.alpha:g} lambda={hp.lam:g}")
             multipliers = multipliers - penalty * residual
             penalty = min(MU_GROWTH * penalty, MU_MAX)
             converged = bool(primal <= hp.tol and w_change <= hp.tol)
@@ -404,7 +401,10 @@ def _fit_split(X, D, runs, standardize_features: bool = True,
                 L = degrade(D, hp.degradation).data if variant is Variant.FULL else None
                 Xb, Db, Lb = _instance_basis(Xw, Dw, L)
                 s, V = eigen()
+                k = np.count_nonzero(s <= _rank_floor(s))    # s ascends: X's null space first
+                s, V = s[k:], V[:, k:]                        # at k = 0, the same arrays' views
                 bases[key] = Db, Lb, (s, V, Xb @ V, (Db @ Xb) @ V)
+            _check_rank(eigen()[0], hp.lam, "W-step")
             Db, Lb, spectrum = bases[key]
             W, iterations, primal, objective, converged = _admm(Db, Lb, hp, spectrum, trace)
         model = LdlModel(W=W, variant=variant, hyperparams=hp,

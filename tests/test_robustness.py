@@ -65,13 +65,37 @@ def test_overflowing_iterate_is_a_typed_error(monkeypatch, variant, schedule):
         fit(ds.X, ds.D, hp, variant)
 
 
-def test_singular_w_step_core_is_a_typed_error():
-    # I + F'Y is SPD in exact arithmetic; at this scale round-off makes it singular.
-    ds = synth_lowrank(2, 4, 2, 1, 0.1, seed=1)
-    X = ds.X.data.copy()
-    X[1] *= 7.5e29
+def test_the_culprit_of_a_non_finite_iterate_is_named(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(solver, "MU0", 1e307)
+    monkeypatch.setattr(solver, "MU_MAX", 1e308)
+    monkeypatch.setattr(solver, "MU_GROWTH", 10.0)
+    path = tmp_path / "d.txt"
+    save_dataset(synth_lowrank(60, 5, 3, 2, 0.1, seed=0), path)
+    code = main(["train", str(path), "--model-out", str(tmp_path / "m.npz"),
+                 "--alpha", "0.5", "--lambda", "0.25"])
+    assert code == 1 and not (tmp_path / "m.npz").exists()
+    assert re.fullmatch(r"error: iterate is not finite at iteration \d+ \(relative primal"
+                        r" residual \S+, W change \S+\) at alpha=0\.5 lambda=0\.25\n",
+                        capsys.readouterr().err)
+
+
+def test_singular_w_step_core_is_a_typed_error(monkeypatch):
+    # I + F'Y is SPD in exact arithmetic, and no input found reaches it
+    # singular before the O-step's own system is: the core (the only solve
+    # with m right-hand sides) is handed a singular matrix instead.
+    ds = synth_lowrank(12, 4, 2, 1, 0.1, seed=1)
+    solve, cores = np.linalg.solve, []
+
+    def singular_core(A, b):
+        if b.shape[1] == ds.D.m:
+            cores.append(A.shape)
+            A = np.zeros(A.shape)
+        return solve(A, b)
+
+    monkeypatch.setattr(np.linalg, "solve", singular_core)
     with pytest.raises(SingularSystem, match="W-step system is numerically singular"):
-        fit(X, ds.D, Hyperparams(lam=1e-6), standardize_features=False)
+        fit(ds.X, ds.D, Hyperparams(lam=1e-6))
+    assert cores == [(4, 4)]
 
 
 def test_feature_overflowing_standardization_is_a_clean_error(capsys, tmp_path):

@@ -868,6 +868,53 @@ def test_fit_without_ridge_on_rank_deficient_features_is_singular(variant):
             standardize_features=False, add_bias=False)
 
 
+@pytest.mark.parametrize("variant", ["full", "ablation-a"])
+@pytest.mark.parametrize("lam", [1e-200, 1e-30])
+def test_tiny_ridge_on_a_wide_set_converges(variant, lam):
+    # n = 30 < d + 1 = 61: the loop runs on X's range, so no step divides the
+    # round-off of a null-space direction by 2 lam (NaN at 1e-200, divergence
+    # or a capped run at 1e-30 when it did).
+    ds = synth_lowrank(30, 60, 4, 2, 0.1, seed=1)
+    res = fit(ds.X, ds.D, Hyperparams(lam=lam), variant)
+    assert res.converged and np.abs(res.model.W).max() < 1.0
+
+
+def test_ablation_a_without_the_nuclear_norm_is_the_ridge_on_the_range_of_x():
+    # At alpha = 0 the loop's first W-step is the ridge solution; ablation-b's
+    # solve also carries round-off / 2 lam in X's null space, so the two are
+    # compared on X's range, where the predictions live.
+    ds = synth_lowrank(30, 60, 4, 2, 0.1, seed=1)
+    hp = Hyperparams(alpha=0.0, lam=1e-12)
+    loop, ridge = (fit(ds.X, ds.D, hp, variant) for variant in ("ablation-a", "ablation-b"))
+    X = solver._design(ds.X.data, loop.model.standardizer, True)
+    s, V = np.linalg.eigh(X.T @ X)
+    on_range = s > s[-1] * len(s) * np.finfo(float).eps      # numpy's matrix_rank tolerance
+    span, null = V[:, on_range], V[:, ~on_range]
+    assert loop.converged and span.shape[1] == 30
+    np.testing.assert_allclose(loop.model.W @ span, ridge.model.W @ span, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(loop.model.W @ X.T, ridge.model.W @ X.T, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(loop.model.W @ null, 0.0, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [40, 12])       # the loop's rows: b = 14 < 40, and 12
+def test_each_o_step_solves_for_2m_right_hand_sides(monkeypatch, n):
+    # The O-step applies its 2m x 2m system's solution operator to the n'
+    # columns of [2 L; Gm]; the W-step core has m right-hand sides.
+    d, m, iters = 6, 4, 7
+    ds = synth_lowrank(n, d, m, 2, 0.1, seed=15)
+    solve, shapes = np.linalg.solve, []
+
+    def counting_solve(A, b):
+        shapes.append((A.shape, b.shape))
+        return solve(A, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    fit(ds.X, ds.D, Hyperparams(alpha=1.0, max_iters=iters, tol=1e-15), "full",
+        standardize_features=False, add_bias=False)
+    o_step, core = ((2 * m, 2 * m), (2 * m, 2 * m)), ((2 * m, 2 * m), (2 * m, m))
+    assert shapes == [o_step] + [core, o_step] * (iters - 1)
+
+
 def make_raw_model(W):
     return LdlModel(W=np.asarray(W, dtype=float), variant=Variant.ABLATION_B,
                     hyperparams=Hyperparams(), standardizer=None, bias=False)
