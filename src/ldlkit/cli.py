@@ -8,10 +8,6 @@ while cv, ablate and sweep do not report it yet.  Their fits, unlike train's,
 record no objective, which no command prints.  Module errors print a
 diagnostic and exit nonzero; a reader closing stdout early (``| head``) ends
 a command quietly with exit code 1, its unread output sent to devnull.
-The process entry :func:`entry` freezes the import-time heap (``gc.freeze``)
-so no collection, the one at exit included, scans it again, and prints each
-warning as one ``warning:`` line; :func:`main` has no such side effect, for
-callers that run it in process, where a warning stays a warning.
 """
 from __future__ import annotations
 
@@ -69,10 +65,6 @@ def _hyperparams(args) -> Hyperparams:
     )
 
 
-def _fit_kwargs(args) -> dict:
-    return {"standardize_features": not args.no_standardize}
-
-
 def _splits(n: int, folds: int, seed: int, holdout: Optional[float] = None) -> List[Split]:
     """(train, test) index pairs: k folds, or one shuffled holdout split."""
     if holdout is not None:
@@ -85,7 +77,7 @@ def _splits(n: int, folds: int, seed: int, holdout: Optional[float] = None) -> L
     return [plan.split(f) for f in range(plan.k)]
 
 
-def _rows(ds, runs: Sequence[Run], splits: Sequence[Split], fit_kwargs: dict,
+def _rows(ds, runs: Sequence[Run], splits: Sequence[Split], standardize: bool,
           tune=None) -> List[ResultRow]:
     """Each (tag, variant, hp) run's row of test-set scores over the splits.
     A split's runs are fit together on its training part, which they share;
@@ -94,7 +86,7 @@ def _rows(ds, runs: Sequence[Run], splits: Sequence[Split], fit_kwargs: dict,
     for train, test in splits:
         split_runs = tune(train, runs) if tune else runs
         results = _fit_split(ds.X.data[train], ds.D.data[:, train],
-                             [(variant, hp) for _, variant, hp in split_runs], **fit_kwargs,
+                             [(variant, hp) for _, variant, hp in split_runs], standardize,
                              trace=False)
         for run_reports, res in zip(reports, results):
             run_reports.append(evaluate(ds.D.data[:, test], predict(res.model, ds.X.data[test])))
@@ -144,7 +136,7 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     ds = dio.load_dataset(args.dataset)
     hp = _hyperparams(args)
-    res = fit(ds.X, ds.D, hp, args.variant, **_fit_kwargs(args))
+    res = fit(ds.X, ds.D, hp, args.variant, not args.no_standardize)
     save_model(res.model, args.model_out)
     conv = "yes" if res.converged else "NO (max iterations reached)"
     print(f"variant={args.variant} iterations={res.iterations_run} "
@@ -198,7 +190,6 @@ def cmd_cv(args) -> int:
         raise ValueError(f"--variants: {exc}; choose from {choices}") from None
     if not variants:
         raise ValueError(f"--variants {args.variants!r} lists no variants")
-    fit_kwargs = _fit_kwargs(args)
     grid = _parse_grid(args.grid) if args.grid else None
     splits = _splits(ds.n, args.folds, args.seed)
     tune = None
@@ -216,13 +207,13 @@ def cmd_cv(args) -> int:
             cands = [(tag, variant, hp.replace(alpha=a, lam=l)) for tag, variant, hp in runs
                      for a, l in itertools.product(grid.get("alpha", (hp.alpha,)),
                                                    grid.get("lambda", (hp.lam,)))]
-            kl = [row.scores.kl for row in _rows(sub, cands, inner, fit_kwargs)]
+            kl = [row.scores.kl for row in _rows(sub, cands, inner, not args.no_standardize)]
             per_run = len(cands) // len(runs)
             return [cands[start + int(np.argmin(kl[start:start + per_run]))]
                     for start in range(0, len(cands), per_run)]
 
     runs = [(v.value, v, hp) for v in variants]
-    rows = _rows(ds, runs, splits, fit_kwargs, tune)
+    rows = _rows(ds, runs, splits, not args.no_standardize, tune)
     print(render(rows, args.fmt), end="")
     return 0
 
@@ -238,7 +229,7 @@ def cmd_ablate(args) -> int:
     if n_train < 2:
         raise ValueError(f"--holdout {args.holdout} leaves {n_train} of {ds.n} instances "
                          "for training; at least 2 are needed")
-    print(render(_rows(ds, runs, splits, _fit_kwargs(args)), args.fmt), end="")
+    print(render(_rows(ds, runs, splits, not args.no_standardize), args.fmt), end="")
     return 0
 
 
@@ -267,7 +258,7 @@ def cmd_sweep(args) -> int:
     field = "alpha" if args.param == "alpha" else "lam"
     runs = [(f"{variant.value}[{args.param}={value:g}]", variant, hp.replace(**{field: value}))
             for value in values]
-    rows = _rows(ds, runs, _splits(ds.n, args.folds, args.seed), _fit_kwargs(args))
+    rows = _rows(ds, runs, _splits(ds.n, args.folds, args.seed), not args.no_standardize)
     print(render(rows, args.fmt), end="")
     return 0
 
@@ -363,7 +354,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def entry() -> int:
-    """``python -m ldlkit`` and the ``ldlkit`` script: :func:`main` on sys.argv."""
+    """``python -m ldlkit`` and the ``ldlkit`` script: :func:`main` on sys.argv,
+    with the import-time heap frozen so no collection scans it again, and each
+    warning printed as one ``warning:`` line.  :func:`main`, for callers that
+    run it in process, leaves both alone."""
     gc.freeze()
     warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
     return main()

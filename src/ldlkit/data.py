@@ -3,32 +3,23 @@
 Two on-disk formats are supported, told apart by the path's suffix:
 
 * ``MatrixText`` -- a header line ``n d m`` followed by n whitespace-separated
-  feature rows (d values each) and n distribution rows (m values each).  Read
-  by one reader: the text is split into lines once, blank lines are skipped,
-  and each block's lines go to numpy's C reader; a block it does not take as
-  finite rows of the header's width is parsed again token by token, which
-  returns the same values or names the bad line.
+  feature rows (d values each) and n distribution rows (m values each); blank
+  lines are skipped.
 * ``Csv`` -- a header row ``f1..fd,y1..ym`` and one instance per row, in a
   file whose suffix is ``.csv`` in any case; every other path is MatrixText.
 
-Both formats' rows, like every matrix the CLI writes, go through ``write_rows``
-with 17 significant digits (bit-exact round-trips), as plain text whatever the
-file's name, ``.gz`` included; ``csv.writer`` writes only the CSV header.
-
-Both formats decode with ``_decode`` and parse rows with ``_parse_rows``: a
-bad byte, a non-numeric or non-finite value, or a row of the wrong width
-raises a ParseError naming the file, the line and, for a value, its column.
+Both are written with 17 significant digits (bit-exact round-trips), as plain
+text whatever the file's name, ``.gz`` included.  A bad byte, a non-numeric
+or non-finite value, or a row of the wrong width raises a ParseError naming
+the file, the line and, for a value, its column.
 
 Relative dataset paths that do not exist are also searched under the
 ``LDL_DATA_DIR`` environment variable.
 
 ``load_dataset`` keeps each parse in a cache, ``$XDG_CACHE_HOME/ldlkit``
-(``~/.cache/ldlkit`` if unset), one ``.npz`` entry per resolved path.  An
-entry is used only if it holds the SHA-256 of ``PARSE_VERSION``, the format
-and the bytes just read, and arrays in the parser's dtype and memory order;
-anything else, a damaged or unwritable cache included, means a parse.  All
-validation runs on every load.  The cache keeps the ``_CACHE_ENTRIES`` most
-recently used entries.  ``rm -r ~/.cache/ldlkit`` clears it.
+(``~/.cache/ldlkit`` if unset), one ``.npz`` entry per resolved path, used
+only for the same bytes and ``PARSE_VERSION``; a damaged or unwritable cache
+means a parse.  ``rm -r ~/.cache/ldlkit`` clears it.
 """
 from __future__ import annotations
 

@@ -12,21 +12,11 @@ closed-form updates plus a singular-value-thresholding step:
                       + lam (||W||_F^2 + ||O||_F^2)
     subject to        W X' O = G.
 
-Each subproblem is solved exactly, and no n x n or d x d system is formed:
-the O-step and W-step matrices are a ridge plus a rank-<=2m term, so each
-step reduces to a 2m x 2m system (see ``_o_steps`` and ``_w_steps``).  The
-coupling penalty's schedule belongs to the solver, not the model: it starts
-at ``MU0`` (0.1), is multiplied by ``MU_GROWTH`` (1.1) after each iteration
-and is capped at ``MU_MAX`` (1e6).  The stopping rule combines the relative
-constraint residual with the relative change of W; a non-finite iterate
-raises ``NonFiniteIterate``.  Nothing is randomized, and numpy suffices.
-
-The loop runs on X's range, in the eigenbasis of X'X cut to the eigenvalues
-above numpy's matrix_rank tolerance: W's part in X's null space only adds to
-lam ||W||^2, so the minimizer has none, and no step divides that part's
-round-off by 2 lam.  All runs on one training split share its Gram X'X and at
-most one eigendecomposition of it; each loop runs on its own instance basis
-(see ``_instance_basis``).  Only ``fit`` records the objective trace.
+Each step reduces to a 2m x 2m system, so no n x n or d x d system is formed
+(see ``_o_steps`` and ``_w_steps``).  The coupling penalty's schedule belongs
+to the solver, not the model.  Nothing is randomized, and numpy suffices.  The
+loop runs on X's range: W's part in X's null space only adds to lam ||W||^2,
+so the minimizer has none, and no step divides that part's round-off by 2 lam.
 
 The public ``svt``, ``update_w`` and ``update_o`` are single dense steps at a
 given O, outside the loop: the tests build the loop's dense reference from them.
@@ -124,10 +114,10 @@ def _rank_floor(s: np.ndarray) -> float:
     return s[-1] * len(s) * np.finfo(s.dtype).eps
 
 
-def _check_rank(s: np.ndarray, lam: float, what: str) -> None:
-    """At lam = 0, ascending s must lie above :func:`_rank_floor`."""
+def _check_rank(s: np.ndarray, lam: float) -> None:
+    """At lam = 0, the W-step's ascending s must lie above :func:`_rank_floor`."""
     if lam == 0.0 and s[0] <= _rank_floor(s):
-        raise SingularSystem(f"{what} system is rank-deficient; a positive lambda is required")
+        raise SingularSystem("W-step system is rank-deficient; a positive lambda is required")
 
 
 def _o_steps(D, L, lam: float):
@@ -141,7 +131,7 @@ def _o_steps(D, L, lam: float):
     ``MU_MAX`` (cond up to 1e10) it was within a factor 1.33 of the solve's.
     """
     m, n = D.shape
-    if lam == 0.0 and n > 2 * m:
+    if lam == 0.0 and n != 2 * m:      # U C U' (n x n) has rank <= 2m, C U'U rank <= n
         raise SingularSystem("O-step system is rank-deficient; a positive lambda is required")
     Q, rhs, c = np.empty((2 * m, n)), np.empty((2 * m, L.shape[1])), np.full(2 * m, 2.0)
     eye = np.eye(2 * m)
@@ -181,7 +171,7 @@ def update_w(
     if not np.isfinite(rhs).all():
         raise ValueError("W-step system has non-finite entries")
     s, V = _eigh_psd(M, "W-step")
-    _check_rank(s, lam, "W-step")
+    _check_rank(s, lam)
     return (V @ ((V.T @ rhs.T) / (s + 2.0 * lam)[:, np.newaxis])).T
 
 
@@ -257,10 +247,9 @@ def _w_steps(spectrum, lam: float):
 
 
 def _admm(D, L, hp: Hyperparams, spectrum, trace: bool = True):
-    """The splitting loop on Wv = W V (see :func:`_w_steps`, given X's
-    ``spectrum``), P = W X' and PO = P O; O = U K with U = [D' P'], or I while
-    K is None (ablation-a: L None).  T = U'U K holds D O and P O, <T, K> is
-    ||O||^2, and N = (P U) R', for R of K' = Q R, has P O's singular values:
+    """The splitting loop on Wv = W V (see :func:`_w_steps`), P = W X' and
+    PO = P O, with O = I and no O-step for ablation-a (L None).  T = U'U K holds
+    D O and P O, <T, K> is ||O||^2, and N = (P U) R' has P O's singular values:
     one stacked SVD per ``_TRACE_BATCH`` iterations takes them if ``trace``.
     Raises NonFiniteIterate, naming alpha and lambda, at the first non-finite
     primal residual or W change.  Returns W, the iterations run, the last
@@ -319,7 +308,7 @@ def _ridge(gram, DX, lam: float, eigen):
         except np.linalg.LinAlgError:
             pass
     s, V = eigen()
-    _check_rank(s, lam, "W-step")
+    _check_rank(s, lam)
     return ((DX @ V) / (s + 2.0 * lam)) @ V.T
 
 
@@ -392,9 +381,7 @@ def _fit_split(X, D, runs, standardize_features: bool = True,
             W = _ridge(gram, Dw @ Xw, hp.lam, eigen)
             iterations, primal, converged, objective = 0, 0.0, True, []
             if trace:
-                P = W @ Xw.T
-                f, w = 0.5 * _norm(P - Dw) ** 2, hp.lam * _norm(W) ** 2
-                objective = _trace(0.0, [(f, P, w, 0.0)])
+                objective = [float(0.5 * _norm(W @ Xw.T - Dw) ** 2 + hp.lam * _norm(W) ** 2)]
         else:
             key = (variant, hp.degradation if variant is Variant.FULL else None)
             if key not in bases:
@@ -404,7 +391,7 @@ def _fit_split(X, D, runs, standardize_features: bool = True,
                 k = np.count_nonzero(s <= _rank_floor(s))    # s ascends: X's null space first
                 s, V = s[k:], V[:, k:]                        # at k = 0, the same arrays' views
                 bases[key] = Db, Lb, (s, V, Xb @ V, (Db @ Xb) @ V)
-            _check_rank(eigen()[0], hp.lam, "W-step")
+            _check_rank(eigen()[0], hp.lam)
             Db, Lb, spectrum = bases[key]
             W, iterations, primal, objective, converged = _admm(Db, Lb, hp, spectrum, trace)
         model = LdlModel(W=W, variant=variant, hyperparams=hp,

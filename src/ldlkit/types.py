@@ -6,16 +6,6 @@ Instances are columns of the label matrices: a label-distribution matrix is
 (m, n) with column i holding the distribution of instance i, while a feature
 matrix is (n, d) with row i holding the features of instance i.  Dataset files
 store one instance per row and are transposed on load.
-
-Records
--------
-Every value type of the package (the matrices, settings and model here, and
-``Dataset``, ``FoldPlan``, ``FitResult``, ``EvalReport`` and ``ResultRow``) is
-a frozen :class:`Record`: ``_fields`` lists its fields in order, ``replace``
-returns a copy validated again, and equality, hashing and ``repr`` go by the
-field values.  The base is plain Python, so defining the records at import
-compiles no methods through ``exec`` (generated methods cost each command
-~14 ms of start-up for the 13 records).
 """
 from __future__ import annotations
 
@@ -45,10 +35,11 @@ def _as_float_matrix(data, name: str) -> np.ndarray:
 
 
 class Record:
-    """Base of the frozen records.  Fields are the class's own annotations; a
-    class-level value is a default shared by every instance, so immutable.
-    The instance ``__dict__`` holds exactly the fields, in order:
-    ``__post_init__`` may validate them or convert one (``object.__setattr__``)."""
+    """Base of the frozen records; unlike dataclasses, it compiles no methods
+    at import.  Fields are the class's own annotations; a class-level value is
+    a default shared by every instance, so immutable.  The instance
+    ``__dict__`` holds exactly the fields, in order: ``__post_init__`` may
+    validate them or convert one (``object.__setattr__``)."""
 
     def __init_subclass__(cls):
         cls._fields = tuple(cls.__annotations__)

@@ -98,6 +98,26 @@ def test_singular_w_step_core_is_a_typed_error(monkeypatch):
     assert cores == [(4, 4)]
 
 
+def test_singular_o_step_is_a_typed_error(monkeypatch, capsys, tmp_path):
+    # Iteration 1's W-step is diagonal (O = I), so a full fit's first solve is
+    # the O-step's 2m x 2m system; LAPACK is made to find it singular.
+    ds = synth_lowrank(12, 4, 2, 1, 0.1, seed=1)
+    save_dataset(ds, tmp_path / "s.txt")
+    systems = []
+
+    def singular(A, b):
+        systems.append(A.shape)
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    with pytest.raises(SingularSystem, match="O-step system is numerically singular"):
+        fit(ds.X, ds.D, Hyperparams(lam=0.1))
+    assert systems == [(4, 4)]
+    code = main(["train", str(tmp_path / "s.txt"), "--model-out", str(tmp_path / "m.npz")])
+    assert code == 1 and not (tmp_path / "m.npz").exists()
+    assert capsys.readouterr() == ("", "error: O-step system is numerically singular\n")
+
+
 def test_feature_overflowing_standardization_is_a_clean_error(capsys, tmp_path):
     ds = synth_lowrank(40, 5, 3, 2, 0.1, seed=0)
     X = ds.X.data.copy()

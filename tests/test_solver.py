@@ -858,6 +858,24 @@ def test_full_fit_without_ridge_has_a_singular_o_step(n):
             standardize_features=False, add_bias=False)
 
 
+def test_full_fit_without_ridge_needs_exactly_2m_instances(tmp_path, capsys):
+    # n' = n = 11 < 2m = 12 (b = 4 + 12 >= n): 2 lam I + C U'U has rank <= 11,
+    # so at lam = 0 the O-step has no unique solution. At n' = 2m = 8 the
+    # system can be regular, and the fit converges.
+    ds = synth_lowrank(11, 3, 6, 1, 0.1, seed=0)
+    with pytest.raises(SingularSystem, match="O-step system is rank-deficient"):
+        fit(ds.X, ds.D, Hyperparams(lam=0.0), variant="full")
+    save_dataset(ds, tmp_path / "s.txt")
+    code = main(["train", str(tmp_path / "s.txt"), "--lambda", "0",
+                 "--model-out", str(tmp_path / "m.npz")])
+    assert code == 1 and not (tmp_path / "m.npz").exists()
+    assert capsys.readouterr() == ("", "error: O-step system is rank-deficient; "
+                                       "a positive lambda is required\n")
+    ds = synth_lowrank(8, 6, 4, 2, 0.1, seed=0)
+    res = fit(ds.X, ds.D, Hyperparams(lam=0.0), variant="full")
+    assert res.converged and np.isfinite(res.model.W).all()
+
+
 @pytest.mark.parametrize("variant", ["full", "ablation-a"])
 def test_fit_without_ridge_on_rank_deficient_features_is_singular(variant):
     rng = np.random.default_rng(12)

@@ -168,6 +168,17 @@ def test_every_exported_name_resolves_and_removed_names_are_gone():
     assert Hyperparams._fields == ("alpha", "lam", "degradation", "max_iters", "tol")
 
 
+def test_every_public_name_is_exported_once():
+    # The reverse of the check above: a name imported into the package but
+    # left out of __all__ fails here. Submodules bound under their own names
+    # (data, metrics, solver, types) are not exports; errors is one.
+    public = [name for name, value in vars(ldlkit).items()
+              if not name.startswith("_")
+              and (name == "errors" or getattr(value, "__name__", None) != f"ldlkit.{name}")]
+    assert len(set(ldlkit.__all__)) == len(ldlkit.__all__)
+    assert sorted(ldlkit.__all__) == sorted(public)
+
+
 def record_cases():
     """Per record: positional arguments for every field, its defaults, a valid
     change, a change its validation rejects (with the error), and the repr the
