@@ -8,14 +8,13 @@ class LdlError(Exception):
 class ColumnNotSimplex(LdlError):
     """A column of a label-distribution matrix is not a valid probability vector.
 
-    Carries the first offending column ``index`` and its ``total`` (the column
-    sum), plus the full list of offending ``columns`` as (index, sum) pairs.
+    Carries the offending ``columns`` as (index, sum) pairs, and the first
+    one's ``index`` and ``total`` (the column sum).
     """
 
-    def __init__(self, index, total, columns=None):
-        self.index = int(index)
-        self.total = float(total)
-        self.columns = list(columns) if columns is not None else [(self.index, self.total)]
+    def __init__(self, columns):
+        self.columns = list(columns)
+        self.index, self.total = self.columns[0]
         head = ", ".join(f"col {i} (sum={s:.6g})" for i, s in self.columns[:5])
         more = "" if len(self.columns) <= 5 else f" and {len(self.columns) - 5} more"
         super().__init__(

@@ -100,11 +100,11 @@ def _norm(x) -> np.float64:
     return np.sqrt(x.ravel("K").dot(x.ravel("K")))
 
 
-def _eigh_psd(M: np.ndarray, what: str):
+def _eigh_psd(M: np.ndarray):
     """Eigenvalues s (clipped at 0) and eigenvectors V of symmetric positive
     semi-definite M, so that (M + 2 lam I)^-1 = V diag(1 / (s + 2 lam)) V'."""
     if not np.isfinite(M).all():
-        raise ValueError(f"{what} system has non-finite entries")
+        raise ValueError("W-step system has non-finite entries")
     s, V = np.linalg.eigh(M)
     return np.maximum(s, 0.0), V
 
@@ -170,7 +170,7 @@ def update_w(
     rhs = D @ X + (penalty * G - multipliers) @ XO.T
     if not np.isfinite(rhs).all():
         raise ValueError("W-step system has non-finite entries")
-    s, V = _eigh_psd(M, "W-step")
+    s, V = _eigh_psd(M)
     _check_rank(s, lam)
     return (V @ ((V.T @ rhs.T) / (s + 2.0 * lam)[:, np.newaxis])).T
 
@@ -373,7 +373,7 @@ def _fit_split(X, D, runs, standardize_features: bool = True,
     if bad.size:
         raise ValueError(f"feature column {bad[0] + 1} overflows X'X: "
                          f"its sum of squares is {gram[bad[0], bad[0]]}")
-    eigen = functools.cache(lambda: _eigh_psd(gram, "W-step"))
+    eigen = functools.cache(lambda: _eigh_psd(gram))
     bases, results = {}, []
     for variant, hp in runs:
         variant = Variant(variant)
@@ -493,10 +493,12 @@ def _model_from_archive(z) -> LdlModel:
         except _DAMAGED_ZIP as exc:
             raise ValueError(f"model entry {key!r} cannot be read: {exc}") from None
 
-    def scalar(key):
+    def scalar(key, kind=object):
         value = entry(key)
         if value.size != 1:
             raise ValueError(f"model entry {key!r} holds {value.size} values, not 1")
+        if not isinstance(value.item(), kind):
+            raise ValueError(f"model entry {key!r} must be a {kind.__name__}, got {value.item()!r}")
         return value.item()
 
     version = scalar("format_version")
@@ -507,12 +509,12 @@ def _model_from_archive(z) -> LdlModel:
         for name in Hyperparams._fields
     })
     scaler = None
-    if bool(scalar("has_standardizer")):
+    if scalar("has_standardizer", bool):
         scaler = Standardizer(mean=entry("feature_mean"), std=entry("feature_std"))
     return LdlModel(
         W=entry("W"),
         variant=Variant(str(scalar("variant"))),
         hyperparams=hp,
         standardizer=scaler,
-        bias=bool(scalar("bias")),
+        bias=scalar("bias", bool),
     )

@@ -10,6 +10,7 @@ store one instance per row and are transposed on load.
 from __future__ import annotations
 
 import enum
+import numbers
 import warnings
 from typing import Optional, Union
 
@@ -103,14 +104,35 @@ class FeatureMatrix(Record):
 class LabelDistributionMatrix(Record):
     """Column-stochastic label distributions, shape (m, n): columns are instances.
 
-    Construct through :func:`validate_distribution_matrix` unless the data is
-    already known to satisfy the simplex invariants exactly.
+    Each column must lie on the probability simplex: entries in [0, 1] and a
+    sum of 1 within ``SIMPLEX_TOL``.  Columns whose sum is off by at most
+    ``RENORM_TOL`` are rescaled with a warning; larger deviations or
+    out-of-range entries raise :class:`ColumnNotSimplex` listing the offending
+    columns.  Entries below 0 are clipped to 0.  A valid float64 array is kept
+    as it is; only a rescale or a clip copies it.
     """
 
     data: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "data", _as_float_matrix(self.data, "distribution matrix"))
+        arr = _as_float_matrix(self.data, "distribution matrix")
+        sums = arr.sum(axis=0)
+        entry_bad = (arr.min(axis=0) < -1e-12) | (arr.max(axis=0) > 1.0 + 1e-12)
+        bad = entry_bad | (np.abs(sums - 1.0) > RENORM_TOL)
+        if np.any(bad):
+            raise ColumnNotSimplex([(int(i), float(sums[i])) for i in np.flatnonzero(bad)])
+        needs_rescale = np.abs(sums - 1.0) > SIMPLEX_TOL
+        if np.any(needs_rescale):
+            warnings.warn(
+                f"renormalized {int(needs_rescale.sum())} column(s) whose sums deviated "
+                f"from 1 by up to {float(np.abs(sums - 1.0).max()):.2e}",
+                stacklevel=3,
+            )
+            arr = arr.copy()
+            arr[:, needs_rescale] /= sums[needs_rescale]
+        if np.signbit(arr).any():                           # -0.0 too: the clip makes it 0.0
+            arr = np.clip(arr, 0.0, None)
+        object.__setattr__(self, "data", arr)
 
     @property
     def m(self) -> int:
@@ -145,35 +167,8 @@ class MultiLabelMatrix(Record):
 
 
 def validate_distribution_matrix(D) -> LabelDistributionMatrix:
-    """Validate (and possibly renormalize) a candidate distribution matrix.
-
-    Each column must lie on the probability simplex: entries in [0, 1] and a
-    sum of 1 within ``SIMPLEX_TOL``.  Columns whose sum is off by at most
-    ``RENORM_TOL`` are rescaled with a warning; larger deviations or
-    out-of-range entries raise :class:`ColumnNotSimplex` listing the offending
-    columns.
-    """
-    if isinstance(D, LabelDistributionMatrix):
-        return D
-    arr = _as_float_matrix(D, "distribution matrix")
-    sums = arr.sum(axis=0)
-    entry_bad = (arr.min(axis=0) < -1e-12) | (arr.max(axis=0) > 1.0 + 1e-12)
-    sum_bad = np.abs(sums - 1.0) > RENORM_TOL
-    bad = entry_bad | sum_bad
-    if np.any(bad):
-        cols = [(int(i), float(sums[i])) for i in np.flatnonzero(bad)]
-        raise ColumnNotSimplex(cols[0][0], cols[0][1], cols)
-    needs_rescale = np.abs(sums - 1.0) > SIMPLEX_TOL
-    if np.any(needs_rescale):
-        warnings.warn(
-            f"renormalized {int(needs_rescale.sum())} column(s) whose sums deviated "
-            f"from 1 by up to {float(np.abs(sums - 1.0).max()):.2e}",
-            stacklevel=2,
-        )
-        arr = arr.copy()
-        arr[:, needs_rescale] /= sums[needs_rescale]
-    arr = np.clip(arr, 0.0, None)
-    return LabelDistributionMatrix(arr)
+    """``D`` as a :class:`LabelDistributionMatrix`, which validates on construction."""
+    return D if isinstance(D, LabelDistributionMatrix) else LabelDistributionMatrix(D)
 
 
 class ThresholdDegrade(Record):
@@ -250,12 +245,12 @@ class Hyperparams(Record):
 
     def __post_init__(self):
         for name, value in (("alpha", self.alpha), ("lambda", self.lam), ("tol", self.tol)):
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
             if not np.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        if self.alpha < 0:
-            raise ValueError(f"alpha must be nonnegative, got {self.alpha}")
-        if self.lam < 0:
-            raise ValueError(f"lambda must be nonnegative, got {self.lam}")
+            if value < 0 and name != "tol":                  # tol's bound is checked last
+                raise ValueError(f"{name} must be nonnegative, got {value}")
         if self.lam > np.finfo(np.float64).max / 2:          # the solvers add 2 lambda I
             raise ValueError(f"lambda must be at most {np.finfo(np.float64).max / 2:g}, "
                              f"got {self.lam:g}")
@@ -278,8 +273,8 @@ class Standardizer(Record):
     """Per-feature z-score parameters recorded at fit time.
 
     Zero-variance features are mapped to 0 rather than divided by 0.  A
-    non-finite mean or std (a feature whose values overflow) is a ValueError
-    naming the feature's 1-based column.
+    non-finite mean or std (a feature whose values overflow), or a negative
+    std, is a ValueError naming the feature's 1-based column.
     """
 
     mean: np.ndarray
@@ -293,6 +288,10 @@ class Standardizer(Record):
                 raise ValueError(f"feature column {bad[0] + 1} overflows standardization: "
                                  f"its {name} is {values.flat[bad[0]]}")
             object.__setattr__(self, name, values)
+        negative = np.flatnonzero(self.std < 0)
+        if negative.size:
+            raise ValueError(f"feature column {negative[0] + 1} has a negative std "
+                             f"{self.std.flat[negative[0]]}")
 
     def transform(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)

@@ -153,8 +153,8 @@ CSV_DATASETS = {
     "two_blocks": lambda: synth_lowrank(dio._WRITE_ROWS + 1, 5, 3, 2, 0.1, seed=2),
     "5000x50": lambda: synth_lowrank(5000, 50, 6, 2, 0.1, seed=3),
     "edges_and_quoted_labels": lambda: Dataset(
-        "edges", FeatureMatrix([[-0.0, 5e-324]]),
-        LabelDistributionMatrix([[1.7976931348623157e308], [1 / 3]]), ("calm", 'joy, "mild"')),
+        "edges", FeatureMatrix([[-0.0, 5e-324, 1.7976931348623157e308]]),
+        LabelDistributionMatrix([[1 / 3], [2 / 3]]), ("calm", 'joy, "mild"')),
 }
 
 

@@ -28,6 +28,13 @@ def test_hyperparams_reject_non_finite_values(field, value, name):
         Hyperparams(**{field: value})
 
 
+@pytest.mark.parametrize("field, name", [("alpha", "alpha"), ("lam", "lambda"), ("tol", "tol")])
+@pytest.mark.parametrize("value", ["0.1", True, np.bool_(True), 1j])
+def test_hyperparams_reject_a_value_that_is_not_a_real_number(field, name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be a real number, got "):
+        Hyperparams(**{field: value})
+
+
 @pytest.mark.parametrize("value", [1e308, np.float64(9e307)])
 def test_hyperparams_reject_a_lambda_whose_double_overflows(value):
     with warnings.catch_warnings():
@@ -242,6 +249,29 @@ def test_model_entry_of_python_objects_is_a_clean_error(capsys, model_files, key
     assert f"model entry {key!r} cannot be read" in evaluate_error(capsys, tmp_path, path)
 
 
+@pytest.mark.parametrize("key, value, expected", [
+    ("alpha", np.str_("0.1"), "alpha must be a real number, got '0.1'"),
+    ("lam", np.str_("0.1"), "lambda must be a real number, got '0.1'"),
+    ("tol", np.str_("1e-05"), "tol must be a real number, got '1e-05'"),
+    ("bias", np.str_("maybe"), "model entry 'bias' must be a bool, got 'maybe'"),
+    ("bias", np.int64(7), "model entry 'bias' must be a bool, got 7"),
+    ("has_standardizer", np.str_("maybe"),
+     "model entry 'has_standardizer' must be a bool, got 'maybe'"),
+    ("has_standardizer", np.int64(7), "model entry 'has_standardizer' must be a bool, got 7"),
+])
+def test_model_entry_of_the_wrong_type_is_a_clean_error(capsys, model_files, key, value,
+                                                        expected):
+    tmp_path, entries = model_files
+    entries[key] = value
+    path = tmp_path / "typed.npz"
+    np.savez(path, **entries)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {expected}")):
+        load_model(path)
+    for command in ("evaluate", "predict"):
+        assert main([command, str(tmp_path / "ds.txt"), "--model", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: {expected}\n"
+
+
 def _damaged_member(data: bytes, member: str, how: str) -> bytes:
     """A saved model's bytes with one member damaged: its last data byte
     flipped, or a field of its central-directory record overwritten."""
@@ -276,6 +306,7 @@ def test_damaged_model_member_is_a_clean_error(capsys, model_files, how, expecte
 @pytest.mark.parametrize("key, value, expected", [
     ("feature_std", np.inf, "feature column 2 overflows standardization: its std is inf"),
     ("feature_mean", np.nan, "feature column 2 overflows standardization: its mean is nan"),
+    ("feature_std", -0.5, "feature column 2 has a negative std -0.5"),
 ])
 def test_model_with_non_finite_standardizer_is_a_clean_error(capsys, model_files, key, value,
                                                              expected):

@@ -824,7 +824,7 @@ def test_fit_on_the_instance_basis_matches_the_loop_on_all_instances(variant, ex
     hp = Hyperparams(alpha=alpha, lam=lam)
     L = degrade(ds.D, hp.degradation).data if full else None
     X, D = ds.X.data, ds.D.data
-    s, V = solver._eigh_psd(X.T @ X, "W-step")
+    s, V = solver._eigh_psd(X.T @ X)
     W, iterations, primal, trace, converged = solver._admm(D, L, hp, (s, V, X @ V, (D @ X) @ V))
     res = fit(ds.X, ds.D, hp, variant=variant, standardize_features=False, add_bias=False)
     assert (res.iterations_run, res.converged) == (iterations, converged)

@@ -20,6 +20,8 @@ from ldlkit import (
     ThresholdDegrade,
     TopKDegrade,
     Variant,
+    degrade,
+    fit,
     parse_degradation,
     validate_distribution_matrix,
 )
@@ -74,6 +76,36 @@ def test_validated_invariants_hold_on_random_columns():
         assert out.data.min() >= 0.0
         assert out.data.max() <= 1.0
         assert np.abs(out.data.sum(axis=0) - 1.0).max() <= 1e-9
+
+
+@pytest.mark.parametrize("column, total", [([5.0, 5.0, 5.0], 15.0), ([-3.0, 2.0, 2.0], 1.0)],
+                         ids=["sum 15", "entry -3"])
+def test_a_record_off_the_simplex_cannot_be_built(column, total):
+    D = np.tile(np.array(column)[:, None], (1, 30))
+    for build in (lambda: LabelDistributionMatrix(D),
+                  lambda: fit(FeatureMatrix(np.ones((30, 2))), LabelDistributionMatrix(D)),
+                  lambda: degrade(LabelDistributionMatrix(D), ThresholdDegrade())):
+        with pytest.raises(ColumnNotSimplex, match=r"30 column\(s\) violate .*: col 0 ") as exc:
+            build()
+        assert (exc.value.index, exc.value.total) == (0, total)
+        assert [i for i, _ in exc.value.columns] == list(range(30))
+
+
+def test_the_record_renormalizes_a_column_within_the_band():
+    col = np.array([0.5, 0.5]) * (1 + 5e-7)
+    with pytest.warns(UserWarning, match="renormalized 1 column"):
+        out = LabelDistributionMatrix(col[:, None])
+    assert out.data.sum() == 1.0 and col.sum() != 1.0
+
+
+def test_the_record_keeps_a_valid_float64_array_and_copies_to_clip():
+    arr = np.random.default_rng(0).dirichlet(np.ones(4), size=6).T
+    out = LabelDistributionMatrix(arr)
+    assert out.data is arr and validate_distribution_matrix(arr).data is arr
+    arr[:, 0] = [-1e-13, 0.5, 0.5 + 1e-13, -0.0]
+    clipped = LabelDistributionMatrix(arr).data
+    assert clipped is not arr and arr[0, 0] < 0
+    np.testing.assert_array_equal(np.signbit(clipped), False)
 
 
 def test_feature_matrix_rejects_nonfinite():
