@@ -17,9 +17,11 @@ Relative dataset paths that do not exist are also searched under the
 ``LDL_DATA_DIR`` environment variable.
 
 ``load_dataset`` keeps each parse in a cache, ``$XDG_CACHE_HOME/ldlkit``
-(``~/.cache/ldlkit`` if unset), one ``.npz`` entry per resolved path, used
-only for the same bytes and ``PARSE_VERSION``; a damaged or unwritable cache
-means a parse.  ``rm -r ~/.cache/ldlkit`` clears it.
+(``~/.cache/ldlkit`` if unset): one entry per resolved path, a file of
+``.npy`` records checked by their CRC-32s, used only for the same bytes and
+``PARSE_VERSION``.  A damaged or unwritable cache means a parse, and an input
+that cannot seek (a pipe) is parsed without the cache.  ``rm -r
+~/.cache/ldlkit`` clears it.
 """
 from __future__ import annotations
 
@@ -34,6 +36,7 @@ import re
 import tempfile
 import time
 import warnings
+import zlib
 from pathlib import Path
 from typing import Optional, Sequence, Tuple
 
@@ -123,15 +126,17 @@ def _is_csv(path) -> bool:
 def load_dataset(path) -> Dataset:
     """Load a dataset named after the file's stem, validating and (within
     tolerance) renormalizing the distribution columns.  The file is read
-    once, and parsed only when the parse cache holds no entry for its bytes.
+    once, and parsed only when the parse cache holds no entry for its bytes;
+    an input that cannot seek (a pipe) is parsed without the cache.
     Toolkit errors and warnings name the file; a ParseError keeps its ``line``."""
     path = resolve_data_path(path)
     with open(path, "rb") as fh:
         data = fh.read()
+        entry = _cache_entry(path) if fh.seekable() else None
     fmt = "CSV" if _is_csv(path) else "MatrixText"
     sha = hashlib.sha256(f"{PARSE_VERSION} {fmt}\n".encode())
     sha.update(data)
-    entry, digest = _cache_entry(path), sha.hexdigest()
+    digest = sha.digest()
     try:
         parsed = _cache_read(entry, digest)
         if parsed is None:
@@ -155,10 +160,36 @@ def _cache_entry(path) -> Optional[Path]:
     base = os.environ.get("XDG_CACHE_HOME", "")
     root = Path(base if os.path.isabs(base) else os.path.expanduser("~/.cache"))
     key = hashlib.sha256(os.fsencode(path.resolve())).hexdigest()
-    return root / "ldlkit" / f"{key}.npz" if root.is_absolute() else None
+    return root / "ldlkit" / f"{key}.npys" if root.is_absolute() else None
 
 
-def _cache_read(entry, digest):
+# An entry is a sequence of .npy (version 1.0) records: the dataset digest
+# (32 bytes); the CRC-32s of X, Drows and the labels' JSON, then n, d, m and
+# the JSON's length; X; Drows; and the JSON (UTF-8 bytes).
+
+
+def _npy_header(dtype, shape) -> bytes:
+    """The .npy header of a C-order array, padded so that its data starts at
+    a multiple of 64 bytes, as numpy aligns it."""
+    text = f"{{'descr': '{np.dtype(dtype).str}', 'fortran_order': False, 'shape': {shape}, }}"
+    text += " " * (63 - (len(text) + 10) % 64) + "\n"
+    return b"\x93NUMPY\x01\x00" + len(text).to_bytes(2, "little") + text.encode("latin1")
+
+
+def _write_record(fh, a: np.ndarray) -> None:
+    """Append the C-order array ``a`` to ``fh`` as one .npy record."""
+    fh.write(_npy_header(a.dtype, a.shape))
+    fh.write(a)
+
+
+def _read_record(fh, a: np.ndarray) -> bool:
+    """Read the next record of ``fh`` into ``a``: False unless its header is
+    the one ``_npy_header`` writes for ``a`` and its data is all there."""
+    header = _npy_header(a.dtype, a.shape)
+    return fh.read(len(header)) == header and fh.readinto(a) == a.nbytes
+
+
+def _cache_read(entry, digest: bytes):
     """The parse (X, Drows, labels) that ``entry`` holds for the bytes of
     ``digest``, in the parser's dtype and memory order; None on a miss."""
     if entry is None:
@@ -166,33 +197,48 @@ def _cache_read(entry, digest):
     # Whatever reading a missing, partial or damaged entry raises, the file is
     # parsed instead: the cache never changes an outcome.
     try:
-        with open(entry, "rb") as fh, np.load(fh, allow_pickle=False) as z:
-            if str(z["digest"]) != digest:
+        with open(entry, "rb") as fh:
+            stored, sizes = np.empty(32, np.uint8), np.empty(7, np.uint64)
+            if not (_read_record(fh, stored) and stored.tobytes() == digest
+                    and _read_record(fh, sizes)):
                 return None
-            X, Drows, labels = z["X"], z["Drows"], json.loads(str(z["labels"]))
-        if (X.dtype == Drows.dtype == np.float64 and X.ndim == Drows.ndim == 2
-                and X.flags.c_contiguous and Drows.flags.c_contiguous
-                and len(X) == len(Drows) and (labels is None or len(labels) == Drows.shape[1])):
-            with contextlib.suppress(OSError):
-                _touch(entry)                       # now the most recently used
-            return X, Drows, None if labels is None else tuple(labels)
+            *crcs, n, d, m, k = sizes.tolist()
+            kinds = [((n, d), np.float64), ((n, m), np.float64), ((k,), np.uint8)]
+            # The rest of the file must be exactly these records: checked
+            # before anything is allocated from a damaged size.
+            if os.fstat(fh.fileno()).st_size - fh.tell() != sum(
+                    len(_npy_header(dtype, shape)) + math.prod(shape) * np.dtype(dtype).itemsize
+                    for shape, dtype in kinds):
+                return None
+            X, Drows, text = records = [np.empty(shape, dtype) for shape, dtype in kinds]
+            if not all(_read_record(fh, r) for r in records) or \
+                    crcs != [zlib.crc32(r) for r in records]:
+                return None
+        labels = json.loads(text.tobytes())
+        if labels is not None and len(labels) != m:
+            return None
+        with contextlib.suppress(OSError):
+            _touch(entry)                           # now the most recently used
+        return X, Drows, None if labels is None else tuple(labels)
     except Exception:
-        pass
-    return None
+        return None
 
 
-def _cache_write(entry, digest, X, Drows, labels) -> None:
+def _cache_write(entry, digest: bytes, X, Drows, labels) -> None:
     """Publish an entry atomically, through a temporary file in the cache
     directory; a cache that cannot be written is left as it was."""
     if entry is None:
         return
+    text = np.frombuffer(json.dumps(labels).encode(), np.uint8)
+    sizes = np.array([zlib.crc32(X), zlib.crc32(Drows), zlib.crc32(text),
+                      *X.shape, Drows.shape[1], len(text)], np.uint64)
     tmp = None
     try:
         entry.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=entry.parent)
         with open(fd, "wb") as fh:
-            np.savez(fh, digest=np.str_(digest), X=X, Drows=Drows,
-                     labels=np.str_(json.dumps(labels)))
+            for record in (np.frombuffer(digest, np.uint8), sizes, X, Drows, text):
+                _write_record(fh, record)
         _touch(tmp)
         os.replace(tmp, entry)
     except OSError:
@@ -211,14 +257,16 @@ def _touch(path) -> None:
 
 
 def _cache_trim(root) -> None:
-    """Remove the least recently used entries beyond ``_CACHE_ENTRIES``; an
-    entry that another process removes first is passed over."""
-    aged = []
+    """Remove the least recently used entries beyond ``_CACHE_ENTRIES``, and
+    every ``.npz`` entry of the zip format that entries had before; an entry
+    that another process removes first is passed over."""
+    aged, stale = [], []
     with contextlib.suppress(OSError):
-        for entry in root.glob("*.npz"):
+        stale = list(root.glob("*.npz"))
+        for entry in root.glob("*.npys"):
             with contextlib.suppress(OSError):
                 aged.append((entry.stat().st_mtime_ns, entry))
-    for _, entry in sorted(aged)[:-_CACHE_ENTRIES]:
+    for entry in stale + [entry for _, entry in sorted(aged)[:-_CACHE_ENTRIES]]:
         with contextlib.suppress(OSError):
             entry.unlink()
 

@@ -54,6 +54,7 @@ MU0 = 0.1
 MU_MAX = 1e6
 MU_GROWTH = 1.1
 _TRACE_BATCH = 32       # iterations whose objective spectra one stacked SVD takes
+_QR_ROWS = 512          # rows per block of the instance basis's QR, from 2 blocks up
 
 
 class FitResult(Record):
@@ -315,11 +316,24 @@ def _ridge(gram, DX, lam: float, eigen):
 def _instance_basis(X, D, L):
     """X, D and L (if given) as the column blocks of R in the thin QR
     [X, D', L'] = Q R when its width b is below n, else as they are.  The loop
-    only contracts over instances, and R'R = [X, D', L']'[X, D', L']."""
+    only contracts over instances, and R'R = [X, D', L']'[X, D', L'].  From
+    n = 2 ``_QR_ROWS`` on, while b is at most ``_QR_ROWS`` / 4, R is that of
+    the stacked R's of row blocks of ``_QR_ROWS`` instances (TSQR: Demmel et
+    al., SIAM J. Sci. Comput. 2012), so no n-row copy is formed; a wider block
+    has an R nearly as tall as itself, and the stacked QR would redo the work.
+    R'R is the same up to round-off, and R's leading d x d block is still an R
+    of X, whose SVD gives X's spectrum."""
     (n, d), m = X.shape, D.shape[0]
-    if d + (m if L is None else 2 * m) >= n:
+    columns = [X, D.T] if L is None else [X, D.T, L.T]
+    b = sum(C.shape[1] for C in columns)
+    if b >= n:
         return X, D, L
-    R = np.linalg.qr(np.hstack([X, D.T] if L is None else [X, D.T, L.T]), mode="r")
+    if n < 2 * _QR_ROWS or b > _QR_ROWS // 4:
+        R = np.linalg.qr(np.hstack(columns), mode="r")
+    else:
+        R = np.linalg.qr(np.vstack([
+            np.linalg.qr(np.hstack([C[i:i + _QR_ROWS] for C in columns]), mode="r")
+            for i in range(0, n, _QR_ROWS)]), mode="r")
     return R[:, :d], R[:, d:d + m].T, None if L is None else R[:, d + m:].T
 
 
@@ -402,10 +416,16 @@ def _fit_split(X, D, runs, standardize_features: bool = True,
 
 def _design(X, scaler: Optional[Standardizer], bias: bool) -> np.ndarray:
     """Features as a model's W sees them: z-scored by ``scaler`` (if any),
-    then with a constant-1 column appended when ``bias``."""
-    if scaler is not None:
-        X = scaler.transform(X)
-    return np.hstack([X, np.ones((X.shape[0], 1))]) if bias else X
+    then with a constant-1 column appended when ``bias``, in one array."""
+    if not bias:
+        return X if scaler is None else scaler.transform(X)
+    out = np.empty((len(X), X.shape[1] + 1))
+    if scaler is None:
+        out[:, :-1] = X
+    else:
+        scaler.transform(X, out=out[:, :-1])
+    out[:, -1] = 1.0
+    return out
 
 
 def predict(model: LdlModel, x) -> np.ndarray:
@@ -497,11 +517,13 @@ def _model_from_archive(z) -> LdlModel:
         value = entry(key)
         if value.size != 1:
             raise ValueError(f"model entry {key!r} holds {value.size} values, not 1")
-        if not isinstance(value.item(), kind):
-            raise ValueError(f"model entry {key!r} must be a {kind.__name__}, got {value.item()!r}")
-        return value.item()
+        item = value.item()
+        if not isinstance(item, kind) or (kind is int and isinstance(item, bool)):
+            article = "an" if kind is int else "a"
+            raise ValueError(f"model entry {key!r} must be {article} {kind.__name__}, got {item!r}")
+        return item
 
-    version = scalar("format_version")
+    version = scalar("format_version", int)
     if version != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format version {version}")
     hp = Hyperparams(**{

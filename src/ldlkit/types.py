@@ -191,7 +191,7 @@ class TopKDegrade(Record):
     k: int = 1
 
     def __post_init__(self):
-        if int(self.k) != self.k or self.k < 1:
+        if isinstance(self.k, (bool, np.bool_)) or int(self.k) != self.k or self.k < 1:
             raise ValueError(f"k must be a positive integer, got {self.k}")
         object.__setattr__(self, "k", int(self.k))
 
@@ -257,7 +257,8 @@ class Hyperparams(Record):
         if not isinstance(self.degradation, (ThresholdDegrade, TopKDegrade)):
             raise TypeError("degradation must be ThresholdDegrade or TopKDegrade")
         try:
-            integral = int(self.max_iters) == self.max_iters
+            integral = (not isinstance(self.max_iters, (bool, np.bool_))
+                        and int(self.max_iters) == self.max_iters)
         except (TypeError, ValueError, OverflowError):
             integral = False
         if not integral:
@@ -293,10 +294,13 @@ class Standardizer(Record):
             raise ValueError(f"feature column {negative[0] + 1} has a negative std "
                              f"{self.std.flat[negative[0]]}")
 
-    def transform(self, X: np.ndarray) -> np.ndarray:
+    def transform(self, X: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """(X - mean) / std per feature, 0 where std is 0; written into
+        ``out`` (of X's shape) when given, else into a new array."""
         X = np.asarray(X, dtype=np.float64)
         safe = np.where(self.std == 0.0, 1.0, self.std)
-        out = (X - self.mean) / safe
+        out = np.subtract(X, self.mean, out=out)
+        np.divide(out, safe, out=out)
         out[..., self.std == 0.0] = 0.0
         return out
 

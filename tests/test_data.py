@@ -1,6 +1,10 @@
 import csv
+import hashlib
 import io
+import os
 import warnings
+import zipfile
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -525,11 +529,40 @@ def test_a_cache_hit_is_the_parse_bit_for_bit(tmp_path, monkeypatch, parse_cache
     path = tmp_path / name
     save_dataset(synth_lowrank(30, 4, 3, 2, 0.1, seed=3), path)
     cold = load_dataset(path)
-    assert len(list(parse_cache.glob("*.npz"))) == 1
+    assert len(list(parse_cache.glob("*.npys"))) == 1
     _no_parse(monkeypatch)
     warm = load_dataset(path)
     _assert_same_arrays(cold, warm)
     assert cold.D.data.flags.f_contiguous and warm.label_names == cold.label_names
+
+
+def test_a_hit_opens_no_zip_archive_and_parses_nothing(tmp_path, monkeypatch, parse_cache):
+    path = tmp_path / "hit.csv"
+    save_dataset(synth_lowrank(30, 4, 3, 2, 0.1, seed=3), path)
+    cold = load_dataset(path)
+    _no_parse(monkeypatch)
+    archives = []
+    monkeypatch.setattr(zipfile, "ZipFile", lambda *a, **k: archives.append(a))
+    _assert_same_arrays(cold, load_dataset(path))
+    assert archives == []
+
+
+def test_an_entry_is_npy_records_of_the_digest_sizes_and_parse(tmp_path, parse_cache):
+    # Each record is a .npy file's bytes, one after another, so numpy reads
+    # them in turn: the SHA-256 of the parser version, format and file bytes;
+    # the CRC-32s of the next three records and n, d, m and the JSON's
+    # length; X, Drows and the labels' JSON.
+    path = write(tmp_path, "labels.csv", LABELED_CSV)
+    ds = load_dataset(path)
+    (entry,) = parse_cache.iterdir()
+    digest, sizes, X, Drows, text = _records(entry)
+    salt = f"{dio.PARSE_VERSION} CSV\n".encode()
+    assert digest.tobytes() == hashlib.sha256(salt + path.read_bytes()).digest()
+    assert X.tobytes() == ds.X.data.tobytes() and Drows.tobytes() == ds.D.data.T.tobytes()
+    assert text.tobytes() == b'["calm", "joy, mild", "z\\u0000"]'
+    assert sizes.dtype == np.uint64 and sizes.tolist() == [
+        zlib.crc32(X.tobytes()), zlib.crc32(Drows.tobytes()), zlib.crc32(text.tobytes()),
+        2, 2, 3, len(text)]
 
 
 def test_csv_label_names_survive_a_hit(tmp_path, monkeypatch):
@@ -547,7 +580,7 @@ def test_changed_bytes_or_parser_version_are_parsed_again(tmp_path, monkeypatch,
     load_dataset(path)
     write(tmp_path, "tiny.txt", MATRIX_TEXT.replace("5.0 6.0", "5.0 6.5"))
     np.testing.assert_array_equal(load_dataset(path).X.data[2], [5.0, 6.5])
-    assert len(list(parse_cache.glob("*.npz"))) == 1   # one entry per file
+    assert len(list(parse_cache.glob("*.npys"))) == 1   # one entry per file
     calls, parse = [], dio._load_matrix_text
     monkeypatch.setattr(dio, "_load_matrix_text", lambda data: calls.append(1) or parse(data))
     load_dataset(path)
@@ -557,43 +590,98 @@ def test_changed_bytes_or_parser_version_are_parsed_again(tmp_path, monkeypatch,
     assert calls == [1]
 
 
+def _records(entry):
+    with open(entry, "rb") as fh:
+        return [np.load(fh) for _ in range(5)]
+
+
 def _damage(entry, how):
     data = entry.read_bytes()
     if how == "truncated":
         entry.write_bytes(data[:len(data) // 2])
-    elif how == "flipped":
+    elif how == "flipped":                          # a byte of X's data
         middle = len(data) // 2
         entry.write_bytes(data[:middle] + bytes([data[middle] ^ 0xFF]) + data[middle + 1:])
     elif how == "garbage":
-        entry.write_bytes(b"PK\x03\x04garbage")
-    elif how == "array":
+        entry.write_bytes(b"\x93NUMPY\x01\x00garbage")
+    elif how == "array":                            # a foreign .npy file
         with open(entry, "wb") as fh:
             np.save(fh, np.eye(3))
     else:
-        with np.load(entry) as z:
-            entries = dict(z)
-        if how == "missing key":
-            del entries["Drows"]
-        elif how == "fortran order":
-            entries["X"] = np.asfortranarray(entries["X"])
-        elif how == "float32":
-            entries["Drows"] = entries["Drows"].astype(np.float32)
+        digest, sizes, X, Drows, text = _records(entry)
         with open(entry, "wb") as fh:
-            np.savez(fh, **entries)
+            for name, record in [("digest", digest), ("sizes", sizes), ("X", X),
+                                 ("Drows", Drows), ("text", text)]:
+                if how == "missing key" and name == "Drows":   # a missing record
+                    continue
+                if how == "fortran order" and name == "X":   # the same bytes in F order
+                    fh.write(dio._npy_header(X.dtype, X.shape).replace(b"False", b"True "))
+                    fh.write(X.tobytes(order="F"))
+                    continue
+                if how == "float32" and name == "Drows":
+                    record = record.astype(np.float32)
+                dio._write_record(fh, record)
 
 
-@pytest.mark.parametrize("how", ["truncated", "flipped", "garbage", "array", "missing key",
-                                 "fortran order", "float32"])
+@pytest.mark.parametrize("how", ["truncated", "flipped", "garbage", "array",
+                                 "missing key", "fortran order", "float32"])
 def test_a_damaged_entry_is_parsed_again_silently(tmp_path, parse_cache, how):
     path = tmp_path / "ds.txt"
     save_dataset(synth_lowrank(30, 4, 3, 2, 0.1, seed=3), path)
     cold = load_dataset(path)
-    (entry,) = parse_cache.glob("*.npz")
+    (entry,) = parse_cache.glob("*.npys")
     _damage(entry, how)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         _assert_same_arrays(cold, load_dataset(path))
         _assert_same_arrays(cold, load_dataset(path))   # from the rewritten entry
+
+
+@pytest.mark.parametrize("name, text", [("tiny.txt", MATRIX_TEXT), ("labels.csv", LABELED_CSV)],
+                         ids=["tiny.txt", "labels.csv"])
+def test_every_flipped_byte_of_an_entry_means_a_parse(tmp_path, monkeypatch, parse_cache,
+                                                      name, text):
+    path = write(tmp_path, name, text)
+    cold = load_dataset(path)
+    (entry,) = parse_cache.iterdir()
+    original = entry.read_bytes()
+    calls, parse = [], dio._load_csv if name.endswith(".csv") else dio._load_matrix_text
+    monkeypatch.setattr(dio, parse.__name__, lambda data: calls.append(1) or parse(data))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for pos in range(len(original)):
+            flipped = bytearray(original)
+            flipped[pos] ^= 0x20 if pos % 2 else 0x01
+            entry.write_bytes(flipped)
+            warm = load_dataset(path)
+            _assert_same_arrays(cold, warm)
+            assert warm.label_names == cold.label_names
+            assert len(calls) == pos + 1, pos
+    assert entry.read_bytes() == original
+
+
+def test_entries_of_the_zip_format_are_removed(tmp_path, parse_cache):
+    parse_cache.mkdir(parents=True)
+    old = parse_cache / f"{dio._cache_entry(tmp_path / 'tiny.txt').stem}.npz"
+    np.savez(old, digest=np.str_("0" * 64))
+    load_dataset(write(tmp_path, "tiny.txt", MATRIX_TEXT))
+    assert [entry.suffix for entry in parse_cache.iterdir()] == [".npys"]
+
+
+def test_a_piped_dataset_loads_and_leaves_the_cache_empty(tmp_path, parse_cache):
+    path = write(tmp_path, "tiny.txt", MATRIX_TEXT)
+    expected = load_dataset(path)
+    for entry in parse_cache.iterdir():
+        entry.unlink()
+    read, write_end = os.pipe()
+    with os.fdopen(write_end, "wb") as fh:
+        fh.write(path.read_bytes())
+    try:
+        piped = load_dataset(f"/dev/fd/{read}")
+    finally:
+        os.close(read)
+    _assert_same_arrays(expected, piped)
+    assert list(parse_cache.iterdir()) == []
 
 
 def test_an_unwritable_cache_is_passed_over_silently(tmp_path, monkeypatch, parse_cache):
@@ -663,7 +751,7 @@ def test_the_cache_keeps_its_most_recently_used_entries(tmp_path, monkeypatch, p
     for path in paths[n:]:
         load_dataset(path)
     kept = {dio._cache_entry(p) for p in [paths[0], *paths[3:]]}
-    assert set(parse_cache.glob("*.npz")) == kept
+    assert set(parse_cache.glob("*.npys")) == kept
     assert len({entry.stat().st_mtime_ns for entry in kept}) == n   # no ties
     _no_parse(monkeypatch)
 

@@ -9,8 +9,8 @@ import zipfile
 import numpy as np
 import pytest
 
-from ldlkit import (Dataset, FeatureMatrix, Hyperparams, fit, load_dataset, load_model, predict,
-                    save_dataset, save_model, solver, synth_lowrank)
+from ldlkit import (Dataset, FeatureMatrix, Hyperparams, TopKDegrade, fit, load_dataset,
+                    load_model, predict, save_dataset, save_model, solver, synth_lowrank)
 from ldlkit.errors import NonFiniteIterate, ShapeMismatch, SingularSystem
 from ldlkit.cli import main
 
@@ -48,6 +48,14 @@ def test_hyperparams_reject_a_lambda_whose_double_overflows(value):
 def test_hyperparams_reject_non_integral_max_iters(value):
     with pytest.raises(ValueError, match="max_iters"):
         Hyperparams(max_iters=value)
+
+
+@pytest.mark.parametrize("value", [True, np.bool_(True)])
+def test_a_bool_is_not_an_integer(value):
+    with pytest.raises(ValueError, match=f"^max_iters must be an integer, got {value!r}$"):
+        Hyperparams(max_iters=value)
+    with pytest.raises(ValueError, match="^k must be a positive integer, got True$"):
+        TopKDegrade(value)
 
 
 @pytest.mark.parametrize("value", [7, np.int64(7), np.int32(7), 7.0])
@@ -258,6 +266,9 @@ def test_model_entry_of_python_objects_is_a_clean_error(capsys, model_files, key
     ("has_standardizer", np.str_("maybe"),
      "model entry 'has_standardizer' must be a bool, got 'maybe'"),
     ("has_standardizer", np.int64(7), "model entry 'has_standardizer' must be a bool, got 7"),
+    ("format_version", np.str_("1"), "model entry 'format_version' must be an int, got '1'"),
+    ("format_version", np.bool_(True), "model entry 'format_version' must be an int, got True"),
+    ("max_iters", np.bool_(True), "max_iters must be an integer, got True"),
 ])
 def test_model_entry_of_the_wrong_type_is_a_clean_error(capsys, model_files, key, value,
                                                         expected):
@@ -419,7 +430,7 @@ def test_mutated_files_end_in_a_result_or_one_error_line(capsys, tmp_path, parse
     save_dataset(ds, data)
     save_model(fit(ds.X, ds.D, variant="ablation-b").model, model)
     fresh = load_dataset(data)
-    (entry,) = parse_cache.glob("*.npz")
+    (entry,) = parse_cache.glob("*.npys")
     expected = _run(capsys, ["degrade", str(data)])
     target = {"model": model, "cache entry": entry}.get(kind, tmp_path / kind)
     if kind.endswith((".txt", ".csv")):

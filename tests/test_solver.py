@@ -7,6 +7,7 @@ import scipy.linalg
 from ldlkit import (
     Hyperparams,
     LdlModel,
+    Standardizer,
     ThresholdDegrade,
     TopKDegrade,
     Variant,
@@ -807,6 +808,69 @@ def test_runs_fit_together_on_one_split_equal_separate_fits(n):
             assert (res.iterations_run, res.final_primal_residual, res.converged) == (
                 one.iterations_run, one.final_primal_residual, one.converged)
             assert res.model.variant is variant and res.model.hyperparams == hp
+
+
+@pytest.mark.parametrize("n, d, blocks", [(1023, 7, 0), (1024, 7, 2), (1500, 7, 3),
+                                          (5000, 7, 10), (1024, 120, 2), (1024, 130, 0),
+                                          (2000, 290, 0)])
+@pytest.mark.parametrize("with_l", [True, False])
+def test_the_row_blocked_basis_keeps_the_gram_of_x_d_and_l(monkeypatch, n, d, blocks, with_l):
+    # From n = 2 _QR_ROWS on, R is taken blockwise while b <= _QR_ROWS / 4:
+    # one QR per block of rows and one of the stacked R's. A wider b (here
+    # d + 4 or d + 8 > 128) keeps the single call. Either way R'R is
+    # [X, D', L']'[X, D', L'].
+    ds = synth_lowrank(n, d, 4, 2, 0.1, seed=n)
+    X, D = 1e3 * ds.X.data + 5.0, ds.D.data          # an uncentred, scaled X
+    L = degrade(ds.D, ThresholdDegrade()).data if with_l else None
+    qr, shapes = np.linalg.qr, []
+
+    def counting_qr(M, mode="reduced"):
+        shapes.append(M.shape)
+        return qr(M, mode=mode)
+
+    monkeypatch.setattr(np.linalg, "qr", counting_qr)
+    Xb, Db, Lb = solver._instance_basis(X, D, L)
+    A = np.hstack([X, D.T] + ([L.T] if with_l else []))
+    R = np.hstack([Xb, Db.T] + ([Lb.T] if with_l else []))
+    b = A.shape[1]
+    assert R.shape == (b, b) and (np.tril(R, -1) == 0).all()
+    gram = A.T @ A
+    assert np.linalg.norm(R.T @ R - gram) <= 1e-13 * np.linalg.norm(gram)
+    rows = solver._QR_ROWS
+    assert shapes == ([(min(rows, n - i), b) for i in range(0, n, rows)] + [(blocks * b, b)]
+                      if blocks else [(n, b)])
+
+
+@pytest.mark.parametrize("variant", ["full", "ablation-a"])
+def test_fit_on_the_row_blocked_basis_matches_the_one_block_basis(monkeypatch, variant):
+    ds = synth_lowrank(1100, 8, 5, 2, 0.1, seed=3)
+    hp = Hyperparams(alpha=0.5, lam=0.05)
+    blocked = fit(ds.X, ds.D, hp, variant)
+    monkeypatch.setattr(solver, "_QR_ROWS", 1100)
+    whole = fit(ds.X, ds.D, hp, variant)
+    assert blocked.converged and whole.converged
+    assert blocked.iterations_run == whole.iterations_run
+    np.testing.assert_allclose(blocked.model.W, whole.model.W, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("bias", [True, False])
+@pytest.mark.parametrize("standardize", [True, False])
+def test_the_design_is_the_z_scores_and_the_bias_column_bit_for_bit(bias, standardize):
+    rng = np.random.default_rng(5)
+    X = rng.standard_normal((50, 4)) * [1.0, 1e-3, 1e5, 2.0] + [0.0, 7.0, -3.0, 1e4]
+    X[:, 1] = 7.25                                     # a zero-std column
+    mean, std = X.mean(axis=0), X.std(axis=0)
+    scaler = Standardizer(mean=mean, std=std) if standardize else None
+    want = X
+    if standardize:
+        want = (X - mean) / np.where(std == 0.0, 1.0, std)
+        want[:, std == 0.0] = 0.0
+    if bias:
+        want = np.hstack([want, np.ones((len(X), 1))])
+    got = solver._design(X, scaler, bias)
+    assert got.shape == want.shape and got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
+    assert (got[:, 1] == 0.0).all() if standardize else (got[:, 1] == 7.25).all()
 
 
 @pytest.mark.parametrize("variant", ["full", "ablation-a"])
