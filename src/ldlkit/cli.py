@@ -7,7 +7,9 @@ is never signalled through the exit code: train reports it in its output,
 while cv, ablate and sweep do not report it yet.  Their fits, unlike train's,
 record no objective, which no command prints.  Module errors print a
 diagnostic and exit nonzero; a reader closing stdout early (``| head``) ends
-a command quietly with exit code 1, its unread output sent to devnull.
+a command quietly with exit code 1, its unread output sent to devnull, and a
+closed stdout is an error before any input is read.  A process builds only
+its command's arguments, and :func:`entry` ends it with no teardown.
 """
 from __future__ import annotations
 
@@ -263,14 +265,23 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """Every subcommand, with the arguments of ``command`` only (of all if None):
+    adding them is most of the build.  Handlers are looked up now, not at import."""
     parser = argparse.ArgumentParser(
         prog="ldlkit",
         description="Label-distribution learning with low-rank auxiliary multi-label structure.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", help="generate a synthetic dataset file")
+    def add(name, func, help):
+        p = sub.add_parser(name, help=help)
+        if command not in (None, name):          # its arguments are never read
+            return argparse.Namespace(add_argument=lambda *args, **kwargs: None)
+        p.set_defaults(func=func)
+        return p
+
+    p = add("synth", cmd_synth, "generate a synthetic dataset file")
     p.add_argument("--n", type=int, default=200)
     p.add_argument("--d", type=int, default=20)
     p.add_argument("--m", type=int, default=6)
@@ -278,28 +289,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise", type=float, default=0.1)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("train", help="fit a model on a full dataset")
+    p = add("train", cmd_train, "fit a model on a full dataset")
     p.add_argument("dataset")
     p.add_argument("--model-out", required=True)
     _add_hp_flags(p)
     _add_common(p)
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("predict", help="predict distributions for a dataset's features")
+    p = add("predict", cmd_predict, "predict distributions for a dataset's features")
     p.add_argument("dataset")
     p.add_argument("--model", required=True)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("evaluate", help="score a saved model on a dataset")
+    p = add("evaluate", cmd_evaluate, "score a saved model on a dataset")
     p.add_argument("dataset")
     p.add_argument("--model", required=True)
     p.add_argument("--format", dest="fmt", choices=["csv", "md"], default="md")
-    p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("cv", help="k-fold cross-validation, optionally with grid search")
+    p = add("cv", cmd_cv, "k-fold cross-validation, optionally with grid search")
     p.add_argument("dataset")
     p.add_argument("--variants", default="full",
                    help="comma list from full,ablation-a,ablation-b")
@@ -307,9 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", help="e.g. 'alpha=0.005,0.1;lambda=0.1,1'")
     _add_hp_flags(p)
     _add_common(p, variant=False)
-    p.set_defaults(func=cmd_cv)
 
-    p = sub.add_parser("ablate", help="compare full vs ablation variants")
+    p = add("ablate", cmd_ablate, "compare full vs ablation variants")
     p.add_argument("dataset")
     p.add_argument("--folds", type=int, default=10)
     p.add_argument("--holdout", type=float,
@@ -317,32 +323,32 @@ def build_parser() -> argparse.ArgumentParser:
                    "folds; the std columns are then over its test instances")
     _add_hp_flags(p)
     _add_common(p, variant=False)
-    p.set_defaults(func=cmd_ablate)
 
-    p = sub.add_parser("degrade", help="degrade distributions to a multi-label matrix")
+    p = add("degrade", cmd_degrade, "degrade distributions to a multi-label matrix")
     p.add_argument("dataset")
     p.add_argument("--degrade", dest="degrade_spec", default=str(HP_DEFAULT.degradation),
                    metavar="KIND:VALUE")
     p.add_argument("--out", help="write the binary matrix to this file")
     p.add_argument("--format", dest="fmt", choices=["csv", "md"], default="md")
-    p.set_defaults(func=cmd_degrade)
 
-    p = sub.add_parser("sweep", help="metric-vs-value table for alpha or lambda")
+    p = add("sweep", cmd_sweep, "metric-vs-value table for alpha or lambda")
     p.add_argument("dataset")
     p.add_argument("--param", choices=["alpha", "lambda"], required=True)
     p.add_argument("--values", help="comma list; defaults to the 7-point candidate set")
     p.add_argument("--folds", type=int, default=10)
     _add_hp_flags(p)
     _add_common(p)
-    p.set_defaults(func=cmd_sweep)
 
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # The top level takes no option values, so its first other word is the command.
+    args = build_parser(next((a for a in argv if not a.startswith("-")), None)).parse_args(argv)
     try:
+        if sys.stdout is None:
+            raise OSError("standard output is closed")
         code = args.func(args)
         sys.stdout.flush()
         return code
@@ -356,11 +362,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 def entry() -> int:
     """``python -m ldlkit`` and the ``ldlkit`` script: :func:`main` on sys.argv,
     with the import-time heap frozen so no collection scans it again, and each
-    warning printed as one ``warning:`` line.  :func:`main`, for callers that
-    run it in process, leaves both alone."""
+    warning printed as one ``warning:`` line.  It then flushes both streams
+    and ends the process by ``os._exit``, skipping teardown and atexit, unless
+    a flush fails or a tool hooks the interpreter (settrace, setprofile, -i,
+    sys.monitoring).  :func:`main`, run in process, does none of this."""
     gc.freeze()
     warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
-    return main()
+    code = main()
+    try:
+        for stream in filter(None, (sys.stdout, sys.stderr)):
+            stream.flush()
+    except (OSError, ValueError):
+        return code
+    monitoring = getattr(sys, "monitoring", None)                 # Python 3.12+
+    if sys.gettrace() or sys.getprofile() or sys.flags.inspect or \
+            monitoring and any(map(monitoring.get_tool, range(6))):
+        return code
+    os._exit(code)
 
 
 if __name__ == "__main__":

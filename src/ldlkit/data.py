@@ -29,7 +29,6 @@ import contextlib
 import csv
 import hashlib
 import io
-import json
 import math
 import os
 import re
@@ -166,6 +165,7 @@ def _cache_entry(path) -> Optional[Path]:
 # An entry is a sequence of .npy (version 1.0) records: the dataset digest
 # (32 bytes); the CRC-32s of X, Drows and the labels' JSON, then n, d, m and
 # the JSON's length; X; Drows; and the JSON (UTF-8 bytes).
+_NO_LABELS = b"null"    # the JSON of None and of no list: json is imported only for names
 
 
 def _npy_header(dtype, shape) -> bytes:
@@ -214,12 +214,14 @@ def _cache_read(entry, digest: bytes):
             if not all(_read_record(fh, r) for r in records) or \
                     crcs != [zlib.crc32(r) for r in records]:
                 return None
-        labels = json.loads(text.tobytes())
-        if labels is not None and len(labels) != m:
-            return None
+        labels = None
+        if text.tobytes() != _NO_LABELS:
+            import json                             # ~2 ms: only for label names
+            if len(labels := tuple(json.loads(text.tobytes()))) != m:
+                return None
         with contextlib.suppress(OSError):
             _touch(entry)                           # now the most recently used
-        return X, Drows, None if labels is None else tuple(labels)
+        return X, Drows, labels
     except Exception:
         return None
 
@@ -229,7 +231,9 @@ def _cache_write(entry, digest: bytes, X, Drows, labels) -> None:
     directory; a cache that cannot be written is left as it was."""
     if entry is None:
         return
-    text = np.frombuffer(json.dumps(labels).encode(), np.uint8)
+    if labels is not None:
+        import json
+    text = np.frombuffer(_NO_LABELS if labels is None else json.dumps(labels).encode(), np.uint8)
     sizes = np.array([zlib.crc32(X), zlib.crc32(Drows), zlib.crc32(text),
                       *X.shape, Drows.shape[1], len(text)], np.uint64)
     tmp = None

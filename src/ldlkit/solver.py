@@ -379,7 +379,10 @@ def _fit_split(X, D, runs, standardize_features: bool = True,
     scaler = None
     if standardize_features:
         with np.errstate(over="ignore", invalid="ignore"):   # Standardizer names the feature
-            scaler = Standardizer(mean=X.data.mean(axis=0), std=X.data.std(axis=0))
+            mean = X.data.mean(axis=0)               # then X.std(axis=0)'s reductions on it
+            dev = X.data - mean
+            std = np.sqrt(np.add.reduce(np.square(dev, out=dev), axis=0) / X.n)
+            scaler = Standardizer(mean=mean, std=std)
     Xw, Dw = _design(X.data, scaler, add_bias), D.data
     with np.errstate(over="ignore", invalid="ignore"):   # the check below names the feature
         gram = Xw.T @ Xw

@@ -1,6 +1,7 @@
 import gc
 import importlib
 import io
+import os
 import runpy
 import subprocess
 import sys
@@ -498,6 +499,15 @@ def test_no_command_loads_scipy(tmp_path):
         assert not scipy_modules, (argv[0], sorted(scipy_modules))
 
 
+def test_only_label_names_import_json(tmp_path, parse_cache):
+    ds = synth_lowrank(40, 4, 3, 2, 0.1, seed=0)
+    for name, imported in (("ds.txt", False), ("ds.csv", True)):   # a CSV names its labels
+        save_dataset(ds, tmp_path / name)
+        for load in ("miss", "hit"):
+            assert ("json" in loaded_modules("degrade", str(tmp_path / name))) is imported, load
+    assert len(list(parse_cache.iterdir())) == 2
+
+
 def test_fitting_runs_where_scipy_cannot_be_imported(tmp_path):
     script = """
 import sys
@@ -520,17 +530,21 @@ sys.exit(main(["cv", sys.argv[1], "--variants", "full,ablation-a,ablation-b",
 
 def test_the_process_entry_freezes_the_import_time_heap_and_main_does_not(
         tmp_path, capsys, synth_file):
+    # The entry ends the process by os._exit, which the script wraps to see
+    # the exit code and the frozen heap.
     script = """
-import gc, runpy, sys
+import gc, os, runpy, sys
+exit_now = os._exit
+def report_and_exit(code):
+    print(code, gc.get_freeze_count() > 0, file=sys.stderr, flush=True)
+    exit_now(code)
+os._exit = report_and_exit
 sys.argv = ["ldlkit", "degrade", *sys.argv[1:]]
-try:
-    runpy.run_module("ldlkit", run_name="__main__")
-except SystemExit as exc:
-    print(exc.code, gc.get_freeze_count() > 0, file=sys.stderr)
+runpy.run_module("ldlkit", run_name="__main__")
 """
     proc = subprocess.run([sys.executable, "-c", script, synth_file, "--out",
                            str(tmp_path / "ml.txt")], capture_output=True, text=True)
-    assert proc.stderr == "0 True\n"
+    assert (proc.returncode, proc.stderr) == (0, "0 True\n")
     assert run(capsys, "degrade", synth_file)[0] == 0
     assert gc.get_freeze_count() == 0
 
@@ -547,6 +561,77 @@ def test_exit_codes_through_the_process_entry(tmp_path, synth_file):
     code, stderr = run_m("degrade", synth_file, "--no-such-flag")
     assert code == 2 and stderr.startswith("usage: ldlkit [-h] ")
     assert stderr.endswith("\nldlkit: error: unrecognized arguments: --no-such-flag\n")
+
+
+ENTRY_SCRIPT = """
+import atexit, runpy, sys
+atexit.register(print, "atexit ran", file=sys.stderr)
+{hook}
+sys.argv = ["ldlkit", "degrade", *sys.argv[1:]]
+runpy.run_module("ldlkit", run_name="__main__")
+"""
+
+
+@pytest.mark.parametrize("hook, stderr", [
+    ("", ""),                                       # os._exit: no teardown, no atexit
+    ("sys.setprofile(lambda *args: None)", "atexit ran\n"),
+    ("sys.settrace(lambda *args: None)", "atexit ran\n")])
+def test_only_an_unhooked_process_skips_the_interpreter_teardown(synth_file, hook, stderr):
+    proc = subprocess.run([sys.executable, "-c", ENTRY_SCRIPT.format(hook=hook), synth_file],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, stderr)
+    assert proc.stdout.startswith("| instance | positives |\n")
+
+
+def test_profiler_and_interactive_runs_end_through_the_interpreter(tmp_path, synth_file):
+    stats = tmp_path / "degrade.prof"
+    proc = subprocess.run([sys.executable, "-m", "cProfile", "-o", str(stats),
+                           "-m", "ldlkit", "degrade", synth_file], capture_output=True)
+    assert proc.returncode == 0 and stats.stat().st_size > 0       # written after the run
+    proc = subprocess.run([sys.executable, "-i", "-m", "ldlkit", "degrade", synth_file],
+                          input="print('still interactive')\n", capture_output=True,
+                          text=True)
+    assert proc.stdout.endswith("still interactive\n")
+
+
+def test_a_large_output_to_a_pipe_arrives_whole(tmp_path, capsys):
+    ds_path, model_path = tmp_path / "ds.txt", tmp_path / "model.npz"
+    ds = synth_lowrank(3000, 5, 6, 2, 0.1, seed=0)
+    save_dataset(ds, ds_path)
+    save_model(fit(ds.X, ds.D, variant="ablation-a").model, model_path)
+    argv = ["predict", str(ds_path), "--model", str(model_path)]
+    proc = subprocess.run([sys.executable, "-m", "ldlkit", *argv], capture_output=True)
+    code, stdout, stderr = run(capsys, *argv)
+    assert (proc.returncode, proc.stderr) == (code, stderr.encode()) == (0, b"")
+    assert len(proc.stdout) > 300_000 and proc.stdout == stdout.encode()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_stdout_on_a_full_device_is_one_error_line(synth_file):
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "ldlkit", "degrade", synth_file],
+                              stdout=full, stderr=subprocess.PIPE, text=True)
+    assert (proc.returncode, proc.stderr) == (1, "error: [Errno 28] No space left on device\n")
+
+
+@pytest.mark.parametrize("argv, written", [
+    (["degrade", "--format", "csv", "--out"], "ml.txt"),
+    (["predict", "--model", "model.npz"], None),
+    (["train", "--model-out"], "new.npz")])
+def test_a_closed_stdout_is_one_error_line_before_any_work(tmp_path, parse_cache, synth_file,
+                                                           argv, written):
+    ds = load_dataset(synth_file)
+    save_model(fit(ds.X, ds.D, variant="ablation-b").model, tmp_path / "model.npz")
+    for entry in parse_cache.iterdir():
+        entry.unlink()
+    argv = [str(tmp_path / a) if a.endswith((".npz", ".txt")) else a for a in argv]
+    if written:
+        argv.append(str(tmp_path / written))
+    proc = subprocess.run([sys.executable, "-m", "ldlkit", argv[0], synth_file, *argv[1:]],
+                          preexec_fn=lambda: os.close(1), stderr=subprocess.PIPE, text=True)
+    assert (proc.returncode, proc.stderr) == (1, "error: standard output is closed\n")
+    assert list(parse_cache.iterdir()) == []                     # the dataset was not read
+    assert written is None or not (tmp_path / written).exists()
 
 
 def test_the_process_entry_prints_a_warning_as_one_line_naming_the_file(tmp_path, capsys):
@@ -654,6 +739,66 @@ def test_train_keeps_its_seed_flag():
     args = cli.build_parser().parse_args(["train", "ds.txt", "--model-out", "m.npz",
                                           "--seed", "7919"])
     assert args.seed == 7919
+
+
+# Each subcommand's required arguments only, then with every flag it takes given once.
+COMMAND_ARGV = {
+    "synth": (["--out", "x.txt"],
+              ["--n", "30", "--d", "3", "--m", "2", "--r", "1", "--noise", "0", "--seed", "1",
+               "--out", "x.txt"]),
+    "train": (["ds.txt", "--model-out", "m.npz"],
+              ["ds.txt", "--model-out", "m.npz", "--alpha", "0.5", "--lambda", "0.1",
+               "--degrade", "topk:2", "--max-iters", "9", "--tol", "1e-3",
+               "--variant", "ablation-a", "--seed", "3", "--format", "csv",
+               "--no-standardize"]),
+    "predict": (["ds.txt", "--model", "m.npz"], ["ds.txt", "--model", "m.npz", "--out", "p"]),
+    "evaluate": (["ds.txt", "--model", "m.npz"],
+                 ["ds.txt", "--model", "m.npz", "--format", "csv"]),
+    "cv": (["ds.txt"], ["ds.txt", "--variants", "full,ablation-b", "--folds", "3",
+                        "--grid", "alpha=1", "--alpha", "2", "--seed", "5", "--format", "csv"]),
+    "ablate": (["ds.txt"], ["ds.txt", "--folds", "4", "--holdout", "0.2", "--lambda", "0.1",
+                            "--no-standardize"]),
+    "degrade": (["ds.txt"], ["ds.txt", "--degrade", "topk:2", "--out", "l.txt",
+                             "--format", "csv"]),
+    "sweep": (["ds.txt", "--param", "alpha"],
+              ["ds.txt", "--param", "lambda", "--values", "0.1,1", "--folds", "3",
+               "--variant", "ablation-b", "--tol", "1e-4"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_ARGV))
+def test_one_commands_parser_parses_it_as_the_full_parser_does(capsys, command):
+    one, full = cli.build_parser(command), cli.build_parser()
+    for argv in COMMAND_ARGV[command]:
+        expected = full.parse_args([command, *argv])
+        assert one.parse_args([command, *argv]) == expected
+        assert expected.func is getattr(cli, f"cmd_{command}")
+    helps = []
+    for parser in (one, full):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args([command, "--help"])
+        helps.append((exc.value.code, capsys.readouterr()))
+    assert helps[0] == helps[1]
+    assert helps[0][0] == 0 and helps[0][1].out.startswith(f"usage: ldlkit {command} [-h]")
+
+
+@pytest.mark.parametrize("argv, code", [
+    ([], 2), (["bogus"], 2), (["--help"], 0), (["-h", "train"], 0),
+    (["degrade", "ds.txt", "--no-such-flag"], 2), (["--no-such-flag", "degrade", "ds.txt"], 2),
+    (["--", "degrade", "ds.txt"], 2), (["train", "ds.txt"], 2)])
+def test_usage_and_errors_are_the_full_parsers_byte_for_byte(capsys, argv, code):
+    outcomes = []
+    for parse in (cli.build_parser().parse_args, main):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        outcomes.append((exc.value.code, capsys.readouterr()))
+    assert outcomes[0] == outcomes[1] and outcomes[0][0] == code
+
+
+def test_a_handler_replaced_after_import_is_the_one_main_calls(monkeypatch, synth_file):
+    calls = []
+    monkeypatch.setattr(cli, "cmd_degrade", lambda args: calls.append(args.dataset) or 5)
+    assert main(["degrade", synth_file]) == 5 and calls == [synth_file]
 
 
 @pytest.mark.parametrize("argv", [["train", "--model-out", "m.npz"], ["cv"], ["ablate"],

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import io
+import json
 import os
 import warnings
 import zipfile
@@ -571,6 +572,29 @@ def test_csv_label_names_survive_a_hit(tmp_path, monkeypatch):
     _no_parse(monkeypatch)
     warm = load_dataset(path)
     assert warm.label_names == cold.label_names == ("calm", "joy, mild", "z\x00")
+    _assert_same_arrays(cold, warm)
+
+
+@pytest.mark.parametrize("name, text", [("plain.txt", MATRIX_TEXT), ("labels.csv", LABELED_CSV)])
+def test_entries_keep_the_bytes_of_json_dumps_and_hit(tmp_path, monkeypatch, parse_cache,
+                                                      name, text):
+    # The labels record is json.dumps of the label names, None (no names)
+    # included, as entries have always been written: such an entry, built
+    # here record by record, is the one the cache writes, and it hits.
+    path = write(tmp_path, name, text)
+    cold = load_dataset(path)
+    (entry,) = parse_cache.iterdir()
+    digest, _, X, Drows, _ = _records(entry)
+    labels = np.frombuffer(json.dumps(cold.label_names).encode(), np.uint8)
+    sizes = np.array([zlib.crc32(X), zlib.crc32(Drows), zlib.crc32(labels),
+                      *X.shape, Drows.shape[1], len(labels)], np.uint64)
+    built = io.BytesIO()
+    for record in (digest, sizes, X, Drows, labels):
+        np.save(built, record)
+    assert entry.read_bytes() == built.getvalue()
+    _no_parse(monkeypatch)
+    warm = load_dataset(path)
+    assert warm.label_names == cold.label_names
     _assert_same_arrays(cold, warm)
 
 

@@ -873,6 +873,19 @@ def test_the_design_is_the_z_scores_and_the_bias_column_bit_for_bit(bias, standa
     assert (got[:, 1] == 0.0).all() if standardize else (got[:, 1] == 7.25).all()
 
 
+@pytest.mark.parametrize("shape", [(10000, 50), (213, 243), (1, 5), (7, 3)])
+def test_the_standardizer_is_mean_and_std_bit_for_bit(shape):
+    rng = np.random.default_rng(shape[0])
+    X = rng.standard_normal(shape)
+    X[:, 0] = 3.7                                      # a constant column
+    X[:, -1] += 1e6 * rng.choice([-1.0, 1.0], shape[0])
+    X[:, 1] += 1e6
+    D = np.full((2, shape[0]), 0.5)
+    scaler = fit(X, D, variant="ablation-b").model.standardizer
+    assert scaler.mean.tobytes() == X.mean(axis=0).tobytes()
+    assert scaler.std.tobytes() == X.std(axis=0).tobytes()
+
+
 @pytest.mark.parametrize("variant", ["full", "ablation-a"])
 @pytest.mark.parametrize("extra", [-1, 0, 1, 189])     # n - b; at n <= b, no QR
 @pytest.mark.parametrize("alpha", [0.1, 1.0])
