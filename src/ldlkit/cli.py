@@ -26,7 +26,7 @@ import numpy as np
 from . import data as dio
 from .degrade import degrade
 from .errors import LdlError, ShapeMismatch
-from .metrics import EvalReport, evaluate
+from .metrics import evaluate
 from .report import ResultRow, render, render_counts, report_row
 from .solver import _fit_split, fit, load_model, predict, save_model
 from .types import Hyperparams, Variant, parse_degradation
@@ -82,18 +82,18 @@ def _splits(n: int, folds: int, seed: int, holdout: Optional[float] = None) -> L
 def _rows(ds, runs: Sequence[Run], splits: Sequence[Split], standardize: bool,
           tune=None) -> List[ResultRow]:
     """Each (tag, variant, hp) run's row of test-set scores over the splits.
-    A split's runs are fit together on its training part, which they share;
-    ``tune(train, runs)`` picks the runs' hyperparameters from that part."""
-    reports: List[List[EvalReport]] = [[] for _ in runs]
-    for train, test in splits:
-        split_runs = tune(train, runs) if tune else runs
-        results = _fit_split(ds.X.data[train], ds.D.data[:, train],
-                             [(variant, hp) for _, variant, hp in split_runs], standardize,
-                             trace=False)
-        for run_reports, res in zip(reports, results):
-            run_reports.append(evaluate(ds.D.data[:, test], predict(res.model, ds.X.data[test])))
-    return [report_row(ds.name, tag, run_reports)
-            for (tag, _, _), run_reports in zip(runs, reports)]
+    The runs are fit on every split's training part in one call, which stacks
+    them; with ``tune(train, runs)``, which picks the runs' hyperparameters
+    from a training part, each split is a call of its own."""
+    calls = (((tune(train, runs), [train]) for train, _ in splits) if tune else
+             [(runs, [train for train, _ in splits])])
+    results = [res for split_runs, trains in calls for res in _fit_split(
+        ds.X, ds.D, [(variant, hp) for _, variant, hp in split_runs], standardize,
+        trace=False, splits=trains)]
+    return [report_row(ds.name, tag, [
+        evaluate(ds.D.data[:, test], predict(res.model, ds.X.data[test]))
+        for (_, test), res in zip(splits, results[j::len(runs)])])
+        for j, (tag, _, _) in enumerate(runs)]
 
 
 def _parse_values(text: str, what: str) -> Tuple[float, ...]:

@@ -13,10 +13,14 @@ closed-form updates plus a singular-value-thresholding step:
     subject to        W X' O = G.
 
 Each step reduces to a 2m x 2m system, so no n x n or d x d system is formed
-(see ``_o_steps`` and ``_w_steps``).  The coupling penalty's schedule belongs
-to the solver, not the model.  Nothing is randomized, and numpy suffices.  The
-loop runs on X's range: W's part in X's null space only adds to lam ||W||^2,
-so the minimizer has none, and no step divides that part's round-off by 2 lam.
+(see ``_lockstep``).  The coupling penalty's schedule belongs to the solver,
+not the model.  Nothing is randomized, and numpy suffices.  The loop runs on
+X's range: W's part in X's null space only adds to lam ||W||^2, so the
+minimizer has none, and no step divides that part's round-off by 2 lam.  A
+command's fits (every run on every training split) go through one call, which
+stacks the runs of one variant and shape and takes each step once for the
+stack.  The loop lives in ``_lockstep``, imported on a process's first stack:
+a command that fits none (predict, evaluate, degrade) never compiles it.
 
 The public ``svt``, ``update_w`` and ``update_o`` are single dense steps at a
 given O, outside the loop: the tests build the loop's dense reference from them.
@@ -28,14 +32,13 @@ itself (no auxiliary task); ``ablation-b`` is plain ridge regression.
 from __future__ import annotations
 
 import functools
-import math
 import zipfile
 from typing import List, Optional, Union
 
 import numpy as np
 
 from .degrade import degrade
-from .errors import NonFiniteIterate, ShapeMismatch, SingularSystem, SvdFailure
+from .errors import LdlError, ShapeMismatch, SingularSystem, SvdFailure
 from .types import (
     FeatureMatrix,
     Hyperparams,
@@ -53,47 +56,71 @@ MODEL_FORMAT_VERSION = 1
 MU0 = 0.1
 MU_MAX = 1e6
 MU_GROWTH = 1.1
-_TRACE_BATCH = 32       # iterations whose objective spectra one stacked SVD takes
 _QR_ROWS = 512          # rows per block of the instance basis's QR, from 2 blocks up
+_STACK_BYTES = 1 << 23  # bytes of the runs' inputs (D, L, s, XV, DXV) one stack copies
+_HELD_BYTES = 1 << 20   # bytes of those inputs held across splits before their stacks are fit
 
 
 class FitResult(Record):
     """A fit's model, the iterations run, the last relative primal residual,
-    the objective per iteration, and whether residual and W change met ``tol``.
-    ``fit`` (and so ``train``) records the objective; the fits of ``cv``,
-    ``ablate`` and ``sweep`` record none and carry ``objective_trace=[]``."""
+    the objective per iteration, whether residual and W change met ``tol``,
+    and why the fit stopped: ``"converged"`` or ``"max_iters"`` (ablation-b's
+    solve is ``"converged"``).  ``fit`` (and so ``train``) records the
+    objective; the fits of ``cv``, ``ablate`` and ``sweep`` record none and
+    carry ``objective_trace=[]``."""
 
     model: LdlModel
     iterations_run: int
     final_primal_residual: float
     objective_trace: List[float]
     converged: bool
+    stop_reason: str
 
 
-def svt(A: np.ndarray, tau: float) -> np.ndarray:
+def svt(A: np.ndarray, tau) -> np.ndarray:
     """Singular value thresholding: soft-threshold the spectrum by ``tau``.
 
     Returns U max(S - tau, 0) V' for the thin SVD A = U S V', which is the
-    proximal operator of ``tau * nuclear norm`` at A.  It is exact zeros, and
-    no SVD is taken, when the largest row sum of |A A'| (|A'A| if smaller) is
-    below tau^2 (1 - 1e-8): by Gershgorin, sigma_max(A) < tau.  The margin
-    covers round-off below 1e7 entries and underflow at tau > 1e-140.
+    proximal operator of ``tau * nuclear norm`` at A.  A may be a stack of
+    matrices, with a tau each.  A matrix's result is exact zeros, and no SVD
+    is taken, when the largest row sum of |A A'| (|A'A| if smaller) is below
+    tau^2 (1 - 1e-8): by Gershgorin, sigma_max(A) < tau.  The margin covers
+    round-off below 1e7 entries and underflow at tau > 1e-140.
     """
-    if not tau >= 0:
+    tau = np.asarray(tau, dtype=np.float64)
+    if not (tau >= 0).all():
         raise ValueError(f"tau must be nonnegative, got {tau}")
-    A = np.asarray(A, dtype=np.float64)
-    if A.ndim == 2 and A.size < 1e7 and tau > 1e-140:
-        B = A @ A.T if len(A) <= A.shape[1] else A.T @ A
-        if np.abs(B).sum(axis=1).max(initial=0.0) < tau * tau * (1 - 1e-8):
-            return np.zeros(A.shape)
+    return _svt(np.asarray(A, dtype=np.float64), tau)
+
+
+def _svt(A: np.ndarray, tau: np.ndarray, maybe_zero=True) -> np.ndarray:
+    """:func:`svt` of float A at nonnegative float tau, unchecked, with the
+    bound tried only on the matrices ``maybe_zero`` marks.  Below the bound
+    the SVD's result is exact zeros too, so that choice moves no result."""
+    (rows, cols), zero = A.shape[-2:], False
+    if rows * cols < 1e7 and np.count_nonzero(maybe_zero):
+        At = A.swapaxes(-1, -2)
+        B = A @ At if rows <= cols else At @ A
+        # the bound's test, where tau > 1e-140 (else 0, which no row sum is below)
+        zero = (np.abs(B).sum(axis=-1).max(axis=-1, initial=0.0)
+                < tau * tau * (1 - 1e-8) * (tau > 1e-140)) & maybe_zero
+    count = np.count_nonzero(zero)
+    if count == np.size(zero):
+        return np.zeros(A.shape)
+    some, svd = count > 0, ~zero
     try:
-        U, s, Vt = np.linalg.svd(A, full_matrices=False)
+        U, s, Vt = np.linalg.svd(A[svd] if some else A, full_matrices=False)
         if not np.isfinite(s).all():        # numpy's answer to an inf entry: NaN factors
             raise np.linalg.LinAlgError("non-finite singular values")
     except np.linalg.LinAlgError as exc:
-        raise SvdFailure(f"SVD did not converge on a {A.shape} matrix") from exc
-    s = np.maximum(s - tau, 0.0)
-    return (U * s) @ Vt
+        raise SvdFailure(f"SVD did not converge on a {(rows, cols)} matrix") from exc
+    s = np.maximum(s - (tau[svd] if some else tau)[..., np.newaxis], 0.0)
+    G = (U * s[..., np.newaxis, :]) @ Vt
+    if not some:
+        return G
+    out = np.zeros(A.shape)
+    out[svd] = G
+    return out
 
 
 def _norm(x) -> np.float64:
@@ -121,32 +148,11 @@ def _check_rank(s: np.ndarray, lam: float) -> None:
         raise SingularSystem("W-step system is rank-deficient; a positive lambda is required")
 
 
-def _o_steps(D, L, lam: float):
-    """The O-step of one fit, checked for rank and with its buffers made once:
-    it maps P = W X', Gm = mu G - multipliers and mu to the Gram U'U and the
-    factor K of the O-step minimizer O = U K, where U' = Q = [D; P].  With
-    C = diag(c) = diag(2 I_m, mu I_m), the O-step matrix is U C U' + 2 lam I,
-    and the push-through identity gives K = (2 lam I + C U'U)^-1 [2 L; Gm].
-    The inverse comes from one solve for 2m right-hand sides, not n': its
-    forward error has an LU solve's bound (Higham 2002, sec. 14.1), and at
-    ``MU_MAX`` (cond up to 1e10) it was within a factor 1.33 of the solve's.
-    """
-    m, n = D.shape
-    if lam == 0.0 and n != 2 * m:      # U C U' (n x n) has rank <= 2m, C U'U rank <= n
+def _check_o_rank(D, lam: float) -> None:
+    """At lam = 0 the O-step needs exactly 2m instances (D's columns): U C U'
+    (n x n) has rank <= 2m, and C U'U rank <= n."""
+    if lam == 0.0 and D.shape[1] != 2 * len(D):
         raise SingularSystem("O-step system is rank-deficient; a positive lambda is required")
-    Q, rhs, c = np.empty((2 * m, n)), np.empty((2 * m, L.shape[1])), np.full(2 * m, 2.0)
-    eye = np.eye(2 * m)
-    Q[:m], rhs[:m], ridge = D, 2.0 * L, 2.0 * lam * eye
-
-    def step(P, Gm, penalty: float):
-        Q[m:], rhs[m:], c[m:] = P, Gm, penalty
-        UtU = Q @ Q.T                                       # (2m, 2m)
-        try:
-            return UtU, np.linalg.solve(c[:, np.newaxis] * UtU + ridge, eye) @ rhs
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystem("O-step system is numerically singular") from exc
-
-    return step
 
 
 def update_w(
@@ -193,109 +199,17 @@ def update_o(
 
         O = (2 D'D + mu P'P + 2 lam I)^-1 (2 D'L + P'(mu G - multipliers)),
 
-    computed through its factors (see :func:`_o_steps`).
+    computed through its factors as in the loop (see ``_lockstep``).
     """
-    P = W @ X.T
-    _, K = _o_steps(D, L, lam)(P, penalty * G - multipliers, penalty)
-    return np.vstack([D, P]).T @ K
-
-
-def _trace(alpha: float, terms) -> List[float]:
-    """The objective at each iteration of ``terms``: (1/2 ||P - D||^2, N,
-    lam ||W||^2, ||D O - L||^2 + lam ||O||^2) at P = W X', where N has P O's
-    singular values.  One stacked value-only SVD takes every N's spectrum."""
-    spectra = np.linalg.svd(np.stack([N for _, N, _, _ in terms]), compute_uv=False)
-    return [float(f + alpha * s.sum() + w + o) for (f, _, w, o), s in zip(terms, spectra)]
-
-
-def _w_steps(spectrum, lam: float):
-    """The ridge start Wv = W V and the W-step of one fit, on X's range:
-    ``spectrum`` holds the eigenpairs s, V of X'X on that range (every s above
-    the rank floor), XV = X V and DXV = (D X) V, and there A = X'X + 2 lam I
-    is diag(a), a = s + 2 lam > 0.
-
-    The step maps Wv to the next Wv, and is diagonal while O = I.  Once
-    O = U K with U = [D' P'] and P = Wv XV', XV'U is [DXV', s Wv'] because
-    XV'XV = diag(s), and mu (X'O)(X'O)' is F F' with F = sqrt(mu) XV'U R' for
-    the thin QR K' = Q R (not K K', whose entries can be far larger than U K's
-    at small lam).  The push-through (Woodbury) identity
-
-        (A + F F')^-1 rhs' = Z - Y (I + F'Y)^-1 F'Z,   Y = A^-1 F, Z = A^-1 rhs',
-
-    leaves one symmetric 2m x 2m system, solved for m right-hand sides.
-    """
-    s, _, XV, DXV = spectrum
-    a = s + 2.0 * lam                                       # eigenvalues of A
-    m = len(DXV)
-    UtXV = np.vstack([DXV, DXV])            # U'XV = [DXV; Wv s]; each step fills Wv s
-    eye, a_col = np.eye(min(len(XV), 2 * m)), a[:, np.newaxis]   # R has min(rows, 2m) rows
-
-    def step(Wv, K, R, Gm, penalty: float) -> np.ndarray:
-        """The next Wv, from Gm = mu G - multipliers and the last O-step's K and R."""
-        if K is None:
-            return (DXV + Gm @ XV) / (a + penalty * s)
-        np.multiply(Wv, s, out=UtXV[m:])
-        Z = (DXV + (Gm @ K.T) @ UtXV) / a
-        F = math.sqrt(penalty) * UtXV.T @ R.T
-        Y = F / a_col
-        core = eye + F.T @ Y                                # symmetric
-        try:
-            return Z - np.linalg.solve(core, (Z @ F).T).T @ Y.T
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystem("W-step system is numerically singular") from exc
-
-    return DXV / a, step
-
-
-def _admm(D, L, hp: Hyperparams, spectrum, trace: bool = True):
-    """The splitting loop on Wv = W V (see :func:`_w_steps`), P = W X' and
-    PO = P O, with O = I and no O-step for ablation-a (L None).  T = U'U K holds
-    D O and P O, <T, K> is ||O||^2, and N = (P U) R' has P O's singular values:
-    one stacked SVD per ``_TRACE_BATCH`` iterations takes them if ``trace``.
-    Raises NonFiniteIterate, naming alpha and lambda, at the first non-finite
-    primal residual or W change.  Returns W, the iterations run, the last
-    primal residual, the trace ([] with ``trace`` off) and converged."""
-    _, V, XV, _ = spectrum
-    Wv, w_step = _w_steps(spectrum, hp.lam)
-    o_step = None if L is None else _o_steps(D, L, hp.lam)
-    m = D.shape[0]
-    upper = np.triu(np.ones((min(D.shape[1], 2 * m), 2 * m), bool))  # triu mask, once per fit
-    PO = Wv @ XV.T
-    K = R = None
-    multipliers, penalty, objective, terms = np.zeros(D.shape), MU0, [], []
-    # An overflowing iterate is reported once, as NonFiniteIterate, not as
-    # numpy warnings from the steps before the check.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for it in range(1, hp.max_iters + 1):
-            G = svt(PO + multipliers / penalty, hp.alpha / penalty)
-            Gm = penalty * G - multipliers
-            Wv_new = w_step(Wv, K, R, Gm, penalty)
-            w_change = _norm(Wv_new - Wv) / max(1.0, _norm(Wv))
-            Wv = Wv_new
-            P = PO = Wv @ XV.T
-            if o_step is not None:
-                UtU, K = o_step(P, Gm, penalty)
-                raw = np.linalg.qr(K.T, mode="raw")[0].T       # R above the reflectors
-                R, T = np.where(upper, raw[:len(upper)], 0.0), UtU @ K
-                PO = T[m:]
-            residual = G - PO
-            primal = float(_norm(residual) / max(1.0, _norm(G)))
-            if not (np.isfinite(primal) and np.isfinite(w_change)):
-                raise NonFiniteIterate(f"iterate is not finite at iteration {it} (relative"
-                                       f" primal residual {primal:g}, W change {w_change:g})"
-                                       f" at alpha={hp.alpha:g} lambda={hp.lam:g}")
-            multipliers = multipliers - penalty * residual
-            penalty = min(MU_GROWTH * penalty, MU_MAX)
-            converged = bool(primal <= hp.tol and w_change <= hp.tol)
-            if trace:
-                N, o_terms = (P, 0.0) if K is None else (
-                    UtU[m:] @ R.T, _norm(T[:m] - L) ** 2 + hp.lam * (T * K).sum())
-                terms.append((0.5 * _norm(P - D) ** 2, N, hp.lam * _norm(Wv) ** 2, o_terms))
-                if converged or it == hp.max_iters or len(terms) == _TRACE_BATCH:
-                    objective, terms = objective + _trace(hp.alpha, terms), []
-            if converged:
-                break
-    return Wv @ V.T, it, primal, objective, converged
+    _check_o_rank(D, lam)
+    m, Q = len(D), np.vstack([D, W @ X.T])
+    c = np.repeat([2.0, penalty], m)[:, np.newaxis]
+    try:
+        K = np.linalg.solve(c * (Q @ Q.T) + 2.0 * lam * np.eye(2 * m),
+                            np.vstack([2.0 * L, penalty * G - multipliers]))
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem("O-step system is numerically singular") from exc
+    return Q.T @ K
 
 
 def _ridge(gram, DX, lam: float, eigen):
@@ -357,18 +271,24 @@ def fit(
     add_bias : append a constant-1 feature column (recorded on the model)
 
     Non-convergence within ``hp.max_iters`` is not an error; the result simply
-    carries ``converged=False``.
+    carries ``converged=False`` and ``stop_reason="max_iters"``.
     """
     return _fit_split(X, D, [(variant, hp or Hyperparams())],
                       standardize_features, add_bias)[0]
 
 
-def _fit_split(X, D, runs, standardize_features: bool = True,
-               add_bias: bool = True, trace: bool = True) -> List[FitResult]:
-    """:func:`fit` for each (variant, hp) of ``runs`` on one X and D, bit for
-    bit, but with an empty ``objective_trace`` when ``trace`` is off.  The
-    design, its Gram X'X, L per degradation and the instance basis are taken
-    once, and X'X's eigendecomposition at most once, on first use."""
+def _fit_split(X, D, runs, standardize_features: bool = True, add_bias: bool = True,
+               trace: bool = True, splits=None) -> List[FitResult]:
+    """:func:`fit` for each (variant, hp) of ``runs`` on each training split
+    of X and D (index arrays ``splits``; all instances if None), bit for bit
+    and split by split, but with an empty ``objective_trace`` when ``trace``
+    is off.  A split's design, Gram X'X, L per degradation and instance basis
+    are taken once, and X'X's eigendecomposition at most once, on first use.
+    Its full and ablation-a runs are held with their bases until the held
+    runs' inputs reach ``_HELD_BYTES``, and then fit as stacks, one
+    ``_lockstep.admm`` per variant and shape and up to ``_STACK_BYTES`` of
+    inputs (or one run).  The first error in run order is raised, as one run at a
+    time would."""
     if not isinstance(X, FeatureMatrix):
         X = FeatureMatrix(X)
     D = validate_distribution_matrix(D)
@@ -376,44 +296,83 @@ def _fit_split(X, D, runs, standardize_features: bool = True,
         raise ShapeMismatch(
             f"feature matrix has {X.n} instances but distribution matrix has {D.n}"
         )
-    scaler = None
-    if standardize_features:
-        with np.errstate(over="ignore", invalid="ignore"):   # Standardizer names the feature
-            mean = X.data.mean(axis=0)               # then X.std(axis=0)'s reductions on it
-            dev = X.data - mean
-            std = np.sqrt(np.add.reduce(np.square(dev, out=dev), axis=0) / X.n)
-            scaler = Standardizer(mean=mean, std=std)
-    Xw, Dw = _design(X.data, scaler, add_bias), D.data
-    with np.errstate(over="ignore", invalid="ignore"):   # the check below names the feature
-        gram = Xw.T @ Xw
-    bad = np.flatnonzero(~np.isfinite(np.diagonal(gram)))
-    if bad.size:
-        raise ValueError(f"feature column {bad[0] + 1} overflows X'X: "
-                         f"its sum of squares is {gram[bad[0], bad[0]]}")
-    eigen = functools.cache(lambda: _eigh_psd(gram))
-    bases, results = {}, []
-    for variant, hp in runs:
-        variant = Variant(variant)
-        if variant is Variant.ABLATION_B:
-            W = _ridge(gram, Dw @ Xw, hp.lam, eigen)
-            iterations, primal, converged, objective = 0, 0.0, True, []
-            if trace:
-                objective = [float(0.5 * _norm(W @ Xw.T - Dw) ** 2 + hp.lam * _norm(W) ** 2)]
-        else:
-            key = (variant, hp.degradation if variant is Variant.FULL else None)
-            if key not in bases:
-                L = degrade(D, hp.degradation).data if variant is Variant.FULL else None
-                Xb, Db, Lb = _instance_basis(Xw, Dw, L)
-                s, V = eigen()
-                k = np.count_nonzero(s <= _rank_floor(s))    # s ascends: X's null space first
-                s, V = s[k:], V[:, k:]                        # at k = 0, the same arrays' views
-                bases[key] = Db, Lb, (s, V, Xb @ V, (Db @ Xb) @ V)
-            _check_rank(eigen()[0], hp.lam)
-            Db, Lb, spectrum = bases[key]
-            W, iterations, primal, objective, converged = _admm(Db, Lb, hp, spectrum, trace)
-        model = LdlModel(W=W, variant=variant, hyperparams=hp,
-                         standardizer=scaler, bias=add_bias)
-        results.append(FitResult(model, iterations, primal, objective, converged))
+    results, stacks, held = [], {}, 0
+
+    def fit_stacks():
+        """Fit the held runs and let their bases go."""
+        from ._lockstep import admm
+        for group in stacks.values():
+            group.sort(key=lambda entry: entry[0])    # a run's splits together: they stop alike
+            size = max(1, _STACK_BYTES // group[0][1])
+            for start in range(0, len(group), size):
+                chunk = group[start:start + size]
+                for (_, _, index, model, _), res in zip(chunk, admm([e[-1] for e in chunk], trace)):
+                    results[index] = res if isinstance(res, LdlError) else FitResult(
+                        LdlModel(res[0], *model, add_bias), *res[1:])
+        stacks.clear()
+
+    for train in [None] if splits is None else splits:
+        Xs, Ds = (X.data, D.data) if train is None else (X.data[train], D.data[:, train])
+        try:
+            scaler = None
+            if standardize_features:
+                # Standardizer names the feature; then X.std(axis=0)'s reductions on mean
+                with np.errstate(over="ignore", invalid="ignore"):
+                    mean = Xs.mean(axis=0)
+                    dev = Xs - mean
+                    std = np.sqrt(np.add.reduce(np.square(dev, out=dev), axis=0) / len(Xs))
+                    del dev
+                    scaler = Standardizer(mean=mean, std=std)
+            Xw = _design(Xs, scaler, add_bias)
+            with np.errstate(over="ignore", invalid="ignore"):   # the check below names the feature
+                gram = Xw.T @ Xw
+            bad = np.flatnonzero(~np.isfinite(np.diagonal(gram)))
+            if bad.size:
+                raise ValueError(f"feature column {bad[0] + 1} overflows X'X: "
+                                 f"its sum of squares is {gram[bad[0], bad[0]]}")
+        except (LdlError, ValueError) as exc:
+            results += [exc] * len(runs)
+            continue
+        eigen = functools.cache(lambda gram=gram: _eigh_psd(gram))
+        bases = {}
+        for j, (variant, hp) in enumerate(runs):
+            try:
+                variant = Variant(variant)
+                if variant is Variant.ABLATION_B:
+                    W = _ridge(gram, Ds @ Xw, hp.lam, eigen)
+                    objective = [float(0.5 * _norm(W @ Xw.T - Ds) ** 2
+                                       + hp.lam * _norm(W) ** 2)] if trace else []
+                    results.append(FitResult(LdlModel(W, variant, hp, scaler, add_bias),
+                                             0, 0.0, objective, True, "converged"))
+                    continue
+                key = (variant, hp.degradation if variant is Variant.FULL else None)
+                if key not in bases:
+                    L = degrade(D if train is None else Ds, hp.degradation).data \
+                        if variant is Variant.FULL else None
+                    Xb, Db, Lb = _instance_basis(Xw, Ds, L)
+                    s, V = eigen()
+                    k = np.count_nonzero(s <= _rank_floor(s))    # s ascends: X's null space first
+                    s, V = s[k:], V[:, k:]                        # at k = 0, the same arrays' views
+                    bases[key] = Db, Lb, (s, V, Xb @ V, (Db @ Xb) @ V)
+                _check_rank(eigen()[0], hp.lam)
+                Db, Lb, spectrum = bases[key]
+                if Lb is not None:
+                    _check_o_rank(Db, hp.lam)
+                size = sum(x.nbytes for x in (Db, Db, spectrum[0], *spectrum[2:]))
+                stacks.setdefault((variant, Db.shape, spectrum[2].shape), []).append(
+                    (j, size, len(results), (variant, hp, scaler), (Db, Lb, hp, spectrum)))
+                results.append(None)
+                held += size
+            except (LdlError, ValueError) as exc:
+                results.append(exc)
+        del Xs, Xw, gram, eigen                   # the held splits keep only their bases
+        if held >= _HELD_BYTES:
+            fit_stacks()
+            held = 0
+    fit_stacks()
+    for res in results:
+        if isinstance(res, Exception):
+            raise res
     return results
 
 

@@ -13,7 +13,7 @@ import pytest
 from ldlkit import (Dataset, FeatureMatrix, Hyperparams, LabelDistributionMatrix, TopKDegrade,
                     Variant, degrade, evaluate, fit, load_dataset, load_model, parse_degradation,
                     predict, save_dataset, save_model, synth_lowrank)
-from ldlkit import cli
+from ldlkit import cli, solver
 from ldlkit import data as dio
 from ldlkit.cli import main
 
@@ -850,3 +850,125 @@ def test_failed_svd_is_one_error_line(monkeypatch, tmp_path, capsys, synth_file)
                                str(tmp_path / "m.npz"))
     assert (code, stdout) == (1, "")
     assert stderr.startswith("error: SVD did not converge on a ") and stderr.count("\n") == 1
+
+
+# The CSV output of each fold command on synth_lowrank(40, 5, 3, 2, 0.1, seed=4),
+# as fitting its runs one at a time writes it.
+FOLD_OUTPUTS = [
+    (("cv", "--variants", "full,ablation-a,ablation-b", "--folds", "4"),
+     "dataset,variant,metric,mean,std\n"
+     "small,full,chebyshev,0.187885,0.0175152\n"
+     "small,full,clark,0.932353,0.113848\n"
+     "small,full,canberra,1.34181,0.174607\n"
+     "small,full,kl,0.187452,0.0310912\n"
+     "small,full,cosine,0.951222,0.00959879\n"
+     "small,full,intersection,0.812115,0.0175152\n"
+     "small,ablation-a,chebyshev,0.187982,0.0176812\n"
+     "small,ablation-a,clark,0.931345,0.113911\n"
+     "small,ablation-a,canberra,1.33634,0.172415\n"
+     "small,ablation-a,kl,0.187729,0.0314877\n"
+     "small,ablation-a,cosine,0.95107,0.00989412\n"
+     "small,ablation-a,intersection,0.812018,0.0176812\n"
+     "small,ablation-b,chebyshev,0.187921,0.018626\n"
+     "small,ablation-b,clark,0.94366,0.126765\n"
+     "small,ablation-b,canberra,1.36319,0.195581\n"
+     "small,ablation-b,kl,0.193174,0.0378835\n"
+     "small,ablation-b,cosine,0.951866,0.00939106\n"
+     "small,ablation-b,intersection,0.812079,0.018626\n"),
+    (("sweep", "--param", "alpha", "--values", "0.01,0.1,1", "--folds", "4"),
+     "dataset,variant,metric,mean,std\n"
+     "small,full[alpha=0.01],chebyshev,0.187973,0.0185386\n"
+     "small,full[alpha=0.01],clark,0.943231,0.126963\n"
+     "small,full[alpha=0.01],canberra,1.36239,0.196326\n"
+     "small,full[alpha=0.01],kl,0.19315,0.0377736\n"
+     "small,full[alpha=0.01],cosine,0.951779,0.00942304\n"
+     "small,full[alpha=0.01],intersection,0.812027,0.0185386\n"
+     "small,full[alpha=0.1],chebyshev,0.187885,0.0175152\n"
+     "small,full[alpha=0.1],clark,0.932353,0.113848\n"
+     "small,full[alpha=0.1],canberra,1.34181,0.174607\n"
+     "small,full[alpha=0.1],kl,0.187452,0.0310912\n"
+     "small,full[alpha=0.1],cosine,0.951222,0.00959879\n"
+     "small,full[alpha=0.1],intersection,0.812115,0.0175152\n"
+     "small,full[alpha=1],chebyshev,0.234403,0.0436504\n"
+     "small,full[alpha=1],clark,1.00599,0.10261\n"
+     "small,full[alpha=1],canberra,1.45309,0.142519\n"
+     "small,full[alpha=1],kl,0.499519,0.231234\n"
+     "small,full[alpha=1],cosine,0.904196,0.0364834\n"
+     "small,full[alpha=1],intersection,0.765597,0.0436504\n"),
+    (("sweep", "--param", "lambda", "--values", "0.01,1", "--variant", "ablation-a",
+      "--folds", "3"),
+     "dataset,variant,metric,mean,std\n"
+     "small,ablation-a[lambda=0.01],chebyshev,0.200662,0.0403966\n"
+     "small,ablation-a[lambda=0.01],clark,0.966031,0.112774\n"
+     "small,ablation-a[lambda=0.01],canberra,1.39965,0.16617\n"
+     "small,ablation-a[lambda=0.01],kl,0.231935,0.0429336\n"
+     "small,ablation-a[lambda=0.01],cosine,0.939401,0.0176583\n"
+     "small,ablation-a[lambda=0.01],intersection,0.799338,0.0403966\n"
+     "small,ablation-a[lambda=1],chebyshev,0.202946,0.0392143\n"
+     "small,ablation-a[lambda=1],clark,0.948446,0.112531\n"
+     "small,ablation-a[lambda=1],canberra,1.37833,0.172521\n"
+     "small,ablation-a[lambda=1],kl,0.226723,0.0516979\n"
+     "small,ablation-a[lambda=1],cosine,0.938765,0.0174251\n"
+     "small,ablation-a[lambda=1],intersection,0.797054,0.0392143\n"),
+    (("ablate", "--folds", "4"),
+     "dataset,variant,metric,mean,std\n"
+     "small,full,chebyshev,0.187885,0.0175152\n"
+     "small,full,clark,0.932353,0.113848\n"
+     "small,full,canberra,1.34181,0.174607\n"
+     "small,full,kl,0.187452,0.0310912\n"
+     "small,full,cosine,0.951222,0.00959879\n"
+     "small,full,intersection,0.812115,0.0175152\n"
+     "small,ablation-a,chebyshev,0.187982,0.0176812\n"
+     "small,ablation-a,clark,0.931345,0.113911\n"
+     "small,ablation-a,canberra,1.33634,0.172415\n"
+     "small,ablation-a,kl,0.187729,0.0314877\n"
+     "small,ablation-a,cosine,0.95107,0.00989412\n"
+     "small,ablation-a,intersection,0.812018,0.0176812\n"
+     "small,ablation-b,chebyshev,0.187921,0.018626\n"
+     "small,ablation-b,clark,0.94366,0.126765\n"
+     "small,ablation-b,canberra,1.36319,0.195581\n"
+     "small,ablation-b,kl,0.193174,0.0378835\n"
+     "small,ablation-b,cosine,0.951866,0.00939106\n"
+     "small,ablation-b,intersection,0.812079,0.018626\n"),
+    (("cv", "--variants", "full,ablation-a", "--folds", "3", "--grid", "alpha=0.1,1;lambda=0.1,1",
+      "--max-iters", "40"),
+     "dataset,variant,metric,mean,std\n"
+     "small,full,chebyshev,0.203925,0.0424109\n"
+     "small,full,clark,0.961244,0.0795265\n"
+     "small,full,canberra,1.38957,0.128423\n"
+     "small,full,kl,0.21862,0.0471041\n"
+     "small,full,cosine,0.937589,0.0189068\n"
+     "small,full,intersection,0.796075,0.0424109\n"
+     "small,ablation-a,chebyshev,0.204873,0.04347\n"
+     "small,ablation-a,clark,0.951636,0.103421\n"
+     "small,ablation-a,canberra,1.38023,0.154715\n"
+     "small,ablation-a,kl,0.237818,0.0584222\n"
+     "small,ablation-a,cosine,0.929121,0.0276174\n"
+     "small,ablation-a,intersection,0.795127,0.04347\n"),
+]
+
+
+@pytest.mark.parametrize("argv, want", FOLD_OUTPUTS)
+def test_fold_commands_write_the_bytes_of_fits_one_at_a_time(tmp_path, capsys, argv, want):
+    path = tmp_path / "small.txt"
+    save_dataset(synth_lowrank(40, 5, 3, 2, 0.1, seed=4), path)
+    assert run(capsys, argv[0], str(path), *argv[1:], "--format", "csv") == (0, want, "")
+
+
+@pytest.mark.parametrize("values, error", [
+    ("1e300,0.1,0", "iterate is not finite at iteration 2 (relative primal residual nan, "
+                    "W change nan) at alpha=1 lambda=0.1"),
+    ("1e300,0,0.1", "O-step system is rank-deficient; a positive lambda is required"),
+])
+def test_a_sweep_reports_the_error_of_its_first_failing_run(monkeypatch, tmp_path, capsys,
+                                                            values, error):
+    # With the penalty starting at 1e307, lambda = 0.1 overflows in the loop,
+    # lambda = 0 fails the O-step's rank check before it, and lambda = 1e300
+    # fits. The runs are stacked, but the error is the first failing run's in
+    # the order of values, as when the runs were fit one at a time.
+    for name, value in dict(MU0=1e307, MU_MAX=1e308, MU_GROWTH=10.0).items():
+        monkeypatch.setattr(solver, name, value)
+    path = tmp_path / "e.txt"
+    save_dataset(synth_lowrank(60, 5, 3, 2, 0.1, seed=0), path)
+    assert run(capsys, "sweep", str(path), "--param", "lambda", "--values", values,
+               "--folds", "3", "--alpha", "1") == (1, "", f"error: {error}\n")

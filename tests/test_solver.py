@@ -25,6 +25,7 @@ from ldlkit import (
     update_o,
     update_w,
 )
+from ldlkit import _lockstep
 from ldlkit.cli import main
 from ldlkit.errors import ShapeMismatch, SingularSystem, SvdFailure
 
@@ -601,22 +602,23 @@ def test_fit_matches_dense_reference_loop(monkeypatch, variant, shape, lam):
 
 @pytest.fixture()
 def linalg_calls(monkeypatch):
-    """Shapes seen by numpy.linalg's eigh, solve, QR (with its mode) and
-    value-only SVD (the objective's, not svt's), one entry per call, and for a
-    stacked value-only SVD one (rows, cols) entry per matrix of the stack."""
+    """Matrix shapes seen by numpy.linalg's eigh, solve, QR (with its mode)
+    and value-only SVD (the objective's, not svt's), one entry per call (so
+    per stack of runs), and for a stacked value-only SVD one (rows, cols)
+    entry per matrix of the stack."""
     calls = {"eigh": [], "solve": [], "qr": [], "svdvals": []}
     eigh, solve, qr, svd = np.linalg.eigh, np.linalg.solve, np.linalg.qr, np.linalg.svd
 
     def counting_eigh(M, *args, **kwargs):
-        calls["eigh"].append(M.shape)
+        calls["eigh"].append(M.shape[-2:])
         return eigh(M, *args, **kwargs)
 
     def counting_solve(M, *args, **kwargs):
-        calls["solve"].append(M.shape)
+        calls["solve"].append(M.shape[-2:])
         return solve(M, *args, **kwargs)
 
     def counting_qr(M, mode="reduced"):
-        calls["qr"].append((M.shape, mode))
+        calls["qr"].append((M.shape[-2:], mode))
         return qr(M, mode=mode)
 
     def counting_svd(M, *args, compute_uv=True, **kwargs):
@@ -674,15 +676,17 @@ def test_full_fit_reads_only_r_from_the_raw_qr(monkeypatch, n):
     want = fit(ds.X, ds.D, hp, "full", standardize_features=False)
     qr, shapes = np.linalg.qr, []
 
-    def r_above_nan(M, mode="reduced"):
+    def r_above_nan(M, mode="reduced"):             # M may be a stack of matrices
         if mode != "raw":
             return qr(M, mode=mode)
         R = qr(M, mode="r")
+        rows = R.shape[-2]
         h = np.full(M.shape, np.nan)
-        h[:len(R)] = np.where(np.triu(np.ones(R.shape, bool)), R, np.nan)
-        np.testing.assert_array_equal(np.triu(qr(M, mode="raw")[0].T[:len(R)]), R)
-        shapes.append(R.shape)
-        return h.T, np.full(len(R), np.nan)
+        h[..., :rows, :] = np.where(np.triu(np.ones(R.shape[-2:], bool)), R, np.nan)
+        raw = qr(M, mode="raw")[0].swapaxes(-1, -2)
+        np.testing.assert_array_equal(np.triu(raw[..., :rows, :]), R)
+        shapes.append(R.shape[-2:])
+        return h.swapaxes(-1, -2), np.full(R.shape[:-1], np.nan)
 
     monkeypatch.setattr(np.linalg, "qr", r_above_nan)
     got = fit(ds.X, ds.D, hp, "full", standardize_features=False)
@@ -728,9 +732,10 @@ def test_sweep_ablate_and_grid_take_one_eigendecomposition_per_training_split(
     # At b >= n every run of a training split shares the split's one eigh of
     # X'X: sweep's three values, and ablate's full and ablation-a runs beside
     # ablation-b's one solve. cv --grid takes one per inner and one per outer
-    # training split, not one per candidate or variant. The per-iteration
-    # solves and QRs stay as the test above pins them, but these fold fits
-    # record no objective, so they take no objective SVD; train still does.
+    # training split, not one per candidate or variant. The runs of every
+    # split are fit as stacks, one per variant and shape, and each stack takes
+    # the per-iteration solves and QRs the test above pins for one fit. These
+    # fold fits record no objective, so they take no objective SVD; train does.
     n, d, m, k, iters = 30, 24, 3, 3, 5       # each of the k training splits has 20 rows
     rows, b = n - n // k, d + 1 + 2 * m       # with the bias column, b = 31 >= 20
     assert rows <= b
@@ -745,24 +750,24 @@ def test_sweep_ablate_and_grid_take_one_eigendecomposition_per_training_split(
         capsys.readouterr()
         return linalg_calls
 
-    full_fits = 3 * k
     calls = run("sweep", "--param", "alpha", "--values", "0.01,0.1,1")
     assert calls["eigh"] == [(d + 1, d + 1)] * k
-    assert calls["solve"] == [(2 * m, 2 * m)] * ((2 * iters - 1) * full_fits)
-    assert calls["qr"] == [((rows, 2 * m), "raw")] * (iters * full_fits)
+    assert calls["solve"] == [(2 * m, 2 * m)] * (2 * iters - 1)      # one stack of 3 k runs
+    assert calls["qr"] == [((rows, 2 * m), "raw")] * iters
     assert calls["svdvals"] == []
 
     calls = run("ablate")
     assert calls["eigh"] == [(d + 1, d + 1)] * k
     assert sorted(calls["solve"]) == sorted(
-        [(2 * m, 2 * m)] * ((2 * iters - 1) * k) + [(d + 1, d + 1)] * k)
-    assert calls["qr"] == [((rows, 2 * m), "raw")] * (iters * k)
+        [(2 * m, 2 * m)] * (2 * iters - 1) + [(d + 1, d + 1)] * k)
+    assert calls["qr"] == [((rows, 2 * m), "raw")] * iters
     assert calls["svdvals"] == []
 
     calls = run("cv", "--variants", "full,ablation-a", "--grid", "alpha=0.1,1;lambda=0.1,0.5")
     inner_rows = rows - rows // 5
     assert sorted(calls["eigh"]) == [(d + 1, d + 1)] * (k * (5 + 1))
-    assert len(calls["qr"]) == iters * k * (5 * 4 + 1)
+    # per outer split: one stack of the 5 x 4 inner full fits, and the outer one
+    assert len(calls["qr"]) == iters * k * 2
     assert {shape for shape, _ in calls["qr"]} == {(rows, 2 * m), (inner_rows, 2 * m)}
     assert calls["svdvals"] == []
 
@@ -808,6 +813,106 @@ def test_runs_fit_together_on_one_split_equal_separate_fits(n):
             assert (res.iterations_run, res.final_primal_residual, res.converged) == (
                 one.iterations_run, one.final_primal_residual, one.converged)
             assert res.model.variant is variant and res.model.hyperparams == hp
+
+
+MIXED_RUNS = [      # alpha, lambda, max_iters and tol differ, so the runs stop apart
+    ("full", Hyperparams(alpha=0.01, lam=0.1)),
+    ("full", Hyperparams(alpha=1.0, lam=0.01, max_iters=7)),
+    ("full", Hyperparams(alpha=0.1, lam=0.1, tol=1e-3, degradation=TopKDegrade(2))),
+    ("full", Hyperparams(alpha=1.0, lam=0.1, max_iters=60)),
+    ("full", Hyperparams(alpha=0.5, lam=1e-3, max_iters=25, tol=1e-4)),
+    ("full", Hyperparams(alpha=0.0, lam=0.1)),
+    ("ablation-a", Hyperparams(alpha=0.1, lam=0.1)),
+    ("ablation-a", Hyperparams(alpha=1.0, lam=0.01, max_iters=9)),
+    ("ablation-b", Hyperparams(lam=0.1)),
+]
+
+
+@pytest.mark.parametrize("full_runs, n_splits, stack_bytes, sizes", [
+    (1, 1, None, [1, 2]), (2, 1, None, [2, 2]), (6, 1, None, [6, 2]), (3, 2, None, [6, 4]),
+    (3, 2, 1, [1] * 10),                    # a stack holds one run when one run's inputs fill it
+])
+def test_stacked_runs_are_bit_equal_to_fits_one_at_a_time(monkeypatch, full_runs, n_splits,
+                                                           stack_bytes, sizes):
+    # Every split has 32 training rows, above b = 5 + 1 + 2m, so all its full
+    # runs share one basis shape and stack, across splits too, and so do its
+    # two ablation-a runs. With m = 3, a stack of 2m = 6 runs is where numpy
+    # < 2 would read a (2m, 2m) identity right-hand side as 2m vectors.
+    if stack_bytes is not None:
+        monkeypatch.setattr(solver, "_STACK_BYTES", stack_bytes)
+    ds = synth_lowrank(40, 5, 3, 2, 0.1, seed=9)
+    splits = [np.delete(np.arange(40), np.arange(i, 40, 5)) for i in range(n_splits)]
+    runs = MIXED_RUNS[:full_runs] + MIXED_RUNS[6:]
+    admm, seen = _lockstep.admm, []
+    monkeypatch.setattr(_lockstep, "admm", lambda stack, trace: seen.append(len(stack)) or
+                        admm(stack, trace))
+    alone = [fit(ds.X.data[train], ds.D.data[:, train], hp, variant)
+             for train in splits for variant, hp in runs]
+    for trace in (True, False):
+        seen.clear()
+        results = solver._fit_split(ds.X, ds.D, runs, trace=trace, splits=splits)
+        assert seen == sizes
+        for res, one in zip(results, alone):
+            assert res.model.W.tobytes() == one.model.W.tobytes()
+            assert (res.iterations_run, res.final_primal_residual, res.converged,
+                    res.stop_reason) == (one.iterations_run, one.final_primal_residual,
+                                         one.converged, one.stop_reason)
+            assert res.stop_reason == ("converged" if res.converged else "max_iters")
+            want = np.array(one.objective_trace if trace else [])
+            assert np.array(res.objective_trace).tobytes() == want.tobytes()
+    if full_runs > 1:                              # the stack's runs stop apart
+        assert len({res.iterations_run for res in alone[:full_runs]}) > 1
+
+
+def test_a_fit_records_why_it_stopped():
+    ds = synth_lowrank(40, 5, 3, 2, 0.1, seed=9)
+    capped = fit(ds.X, ds.D, Hyperparams(alpha=1.0, max_iters=3))
+    assert (capped.iterations_run, capped.converged, capped.stop_reason) == (
+        3, False, "max_iters")
+    done = fit(ds.X, ds.D, Hyperparams())
+    assert (done.converged, done.stop_reason) == (True, "converged")
+    assert done.iterations_run < 200
+    ridge = fit(ds.X, ds.D, Hyperparams(), "ablation-b")
+    assert (ridge.iterations_run, ridge.converged, ridge.stop_reason) == (0, True, "converged")
+
+
+@pytest.mark.parametrize("step, error", [
+    ("svd", r"SVD did not converge on a \(3, 12\) matrix"),
+    ("solve", "O-step system is numerically singular"),
+])
+def test_a_stacked_call_that_fails_for_one_run_is_that_runs_error(monkeypatch, step, error):
+    # From the fifth stacked G-step SVD (or O-step solve) on, numpy fails for
+    # every call that holds the second run's matrix of that call. The stack
+    # fails as a whole, and the call is redone one run at a time: the second
+    # run ends in its typed error, and the other two are bit-equal to their
+    # fits without the fault.
+    ds = synth_lowrank(40, 5, 3, 2, 0.1, seed=9)
+    runs = [("full", Hyperparams(alpha=alpha, lam=0.1, max_iters=30))
+            for alpha in (0.01, 0.02, 0.03)]
+    want = solver._fit_split(ds.X, ds.D, runs, trace=False)
+    real, calls, poison = getattr(np.linalg, step), [], []
+
+    def failing(A, *args, **kwargs):
+        stacked = len(A) == 3 and (step == "svd" or args[0].shape[-1] == 6)
+        calls.append(stacked)
+        if stacked and sum(calls) == 5:
+            poison.append(A[1].tobytes())
+        if any(M.tobytes() in poison for M in A):
+            raise np.linalg.LinAlgError("injected")
+        return real(A, *args, **kwargs)
+
+    admm, outputs = _lockstep.admm, []
+    monkeypatch.setattr(_lockstep, "admm", lambda stack, trace: outputs.append(
+        admm(stack, trace)) or outputs[-1])
+    monkeypatch.setattr(np.linalg, step, failing)
+    with pytest.raises(SvdFailure if step == "svd" else SingularSystem, match=error):
+        solver._fit_split(ds.X, ds.D, runs, trace=False)
+    first, failed, last = outputs[0]
+    assert isinstance(failed, SvdFailure if step == "svd" else SingularSystem)
+    for (W, iterations, primal, _, converged, _), res in zip([first, last], want[::2]):
+        assert W.tobytes() == res.model.W.tobytes()
+        assert (iterations, primal, converged) == (
+            res.iterations_run, res.final_primal_residual, res.converged)
 
 
 @pytest.mark.parametrize("n, d, blocks", [(1023, 7, 0), (1024, 7, 2), (1500, 7, 3),
@@ -902,7 +1007,8 @@ def test_fit_on_the_instance_basis_matches_the_loop_on_all_instances(variant, ex
     L = degrade(ds.D, hp.degradation).data if full else None
     X, D = ds.X.data, ds.D.data
     s, V = solver._eigh_psd(X.T @ X)
-    W, iterations, primal, trace, converged = solver._admm(D, L, hp, (s, V, X @ V, (D @ X) @ V))
+    W, iterations, primal, trace, converged, _ = _lockstep.admm(
+        [(D, L, hp, (s, V, X @ V, (D @ X) @ V))])[0]
     res = fit(ds.X, ds.D, hp, variant=variant, standardize_features=False, add_bias=False)
     assert (res.iterations_run, res.converged) == (iterations, converged)
     np.testing.assert_allclose(res.model.W, W, rtol=0, atol=1e-10)
@@ -1000,7 +1106,7 @@ def test_each_o_step_solves_for_2m_right_hand_sides(monkeypatch, n):
     solve, shapes = np.linalg.solve, []
 
     def counting_solve(A, b):
-        shapes.append((A.shape, b.shape))
+        shapes.append((A.shape[-2:], b.shape[-2:]))
         return solve(A, b)
 
     monkeypatch.setattr(np.linalg, "solve", counting_solve)

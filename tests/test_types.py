@@ -257,9 +257,9 @@ def record_cases():
          "D=LabelDistributionMatrix(data=array([[1.]])), label_names=None)"),
         (FoldPlan, (2, np.array([0, 1])), {}, {"k": 3}, ({"assignments": ["x"]}, ValueError),
          "FoldPlan(k=2, assignments=array([0, 1]))"),
-        (FitResult, (model, 3, 0.5, [1.0, 0.5], True), {}, {"converged": False}, None,
-         f"FitResult(model={model_repr}, iterations_run=3, final_primal_residual=0.5, "
-         f"objective_trace=[1.0, 0.5], converged=True)"),
+        (FitResult, (model, 3, 0.5, [1.0, 0.5], True, "converged"), {}, {"converged": False},
+         None, f"FitResult(model={model_repr}, iterations_run=3, final_primal_residual=0.5, "
+         f"objective_trace=[1.0, 0.5], converged=True, stop_reason='converged')"),
         (EvalReport, rep_args, {}, {"kl": 0.5}, None, rep_repr),
         (ResultRow, ("toy", "full", rep), {}, {"variant": "ablation-a"}, None,
          f"ResultRow(dataset='toy', variant='full', scores={rep_repr})"),
