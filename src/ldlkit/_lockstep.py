@@ -2,7 +2,8 @@
 
 ``solver._fit_split`` imports it on a process's first stack of runs, so a
 command that fits no stack never compiles it.  Each step is one stacked
-numpy call for the stack, bit-equal to a call per run.
+numpy call for the stack, bit-equal to a call per run.  ``admm`` returns each
+run's result, or raises: a stack succeeds or fails as a whole.
 """
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ from typing import List
 import numpy as np
 
 from . import solver
-from .errors import LdlError, NonFiniteIterate, SingularSystem
+from .errors import NonFiniteIterate, SingularSystem
 from .solver import _norm
 
 _TRACE_BATCH = 32       # iterations whose objective spectra one stacked SVD takes
@@ -27,30 +28,12 @@ def _trace(alpha: float, terms) -> List[float]:
     return [float(f + alpha * s.sum() + w + o) for (f, _, w, o), s in zip(terms, spectra)]
 
 
-def _stack(arrays) -> np.ndarray:
-    """The arrays on a new leading axis; one array as a view of it."""
-    return arrays[0][np.newaxis] if len(arrays) == 1 else np.stack(arrays)
-
-
-def _by_run(errors: dict, what: str, call, shape, *stacks) -> np.ndarray:
-    """``call(*stacks)``, an array of ``shape``, redone one run (leading
-    index) at a time after an error for a stack of several.  A failing run's
-    slice is zeros, and its error goes to ``errors`` unless it has one: an
-    LdlError, or numpy's LinAlgError as a singular ``what`` system."""
+def _solve(what: str, A, b) -> np.ndarray:
+    """np.linalg.solve(A, b), with numpy's LinAlgError as a singular ``what`` system."""
     try:
-        return call(*stacks)
-    except (LdlError, np.linalg.LinAlgError) as exc:
-        failed = exc
-    out = np.zeros(shape)
-    for i in range(len(out)):
-        try:
-            if len(out) == 1:
-                raise failed
-            out[i] = call(*(x[i:i + 1] for x in stacks))[0]
-        except (LdlError, np.linalg.LinAlgError) as exc:
-            errors.setdefault(i, exc if isinstance(exc, LdlError) else
-                              SingularSystem(f"{what} system is numerically singular"))
-    return out
+        return np.linalg.solve(A, b)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem(f"{what} system is numerically singular") from exc
 
 
 def _norms(x) -> np.ndarray:
@@ -67,8 +50,10 @@ def admm(runs, trace: bool = True) -> list:
     share mu's schedule; each step is one stacked call, bit-equal to a call
     per run, and a run leaves the stack when it stops.  Returns each run's
     (W, iterations, last primal residual, objective ([] with ``trace`` off),
-    converged, stop reason), or its error: NonFiniteIterate, naming alpha and
-    lambda, at its first non-finite primal residual or W change.
+    converged, stop reason), or raises for the whole stack: SvdFailure from
+    the G-step, SingularSystem from a W-step or O-step solve, or
+    NonFiniteIterate, naming the first such run's alpha and lambda, at a
+    non-finite primal residual or W change.
 
     The loop runs on X's range with ``spectrum`` = (s, V, XV, DXV): the
     eigenpairs of X'X there, XV = X V and DXV = (D X) V.  It carries Wv = W V,
@@ -85,7 +70,7 @@ def admm(runs, trace: bool = True) -> list:
     with m right-hand sides.  T = U'U K holds D O and P O, <T, K> is
     ||O||^2, and N = (P U) R' has P O's singular values for the objective."""
     hps = [hp for _, _, hp, _ in runs]
-    D, XV, DXV, s = (_stack(x) for x in zip(*[(D, sp[2], sp[3], sp[0]) for D, _, _, sp in runs]))
+    D, XV, DXV, s = (np.stack(x) for x in zip(*[(D, sp[2], sp[3], sp[0]) for D, _, _, sp in runs]))
     alpha, lam, tol, cap = (np.array(x) for x in zip(*[
         (hp.alpha, hp.lam, hp.tol, hp.max_iters) for hp in hps]))
     (_, m, n), live, norm_G = D.shape, np.arange(len(runs)), np.zeros(len(runs))
@@ -95,7 +80,7 @@ def admm(runs, trace: bool = True) -> list:
     PO, multipliers, penalty, norm_Wv = Wv @ XVt, np.zeros(D.shape), solver.MU0, _norms(Wv)
     L = Q = rhs = ridge = eyes = UtXV = UtXVt = K = R = None
     if runs[0][1] is not None:
-        L = _stack([L for _, L, _, _ in runs])
+        L = np.stack([L for _, L, _, _ in runs])
         Q, rhs = np.concatenate([D, D], axis=1), np.concatenate([2.0 * L, D], axis=1)
         ridge = (2.0 * lam)[:, np.newaxis, np.newaxis] * np.eye(2 * m)
         eyes = np.ones((len(runs), 1, 1)) * np.eye(2 * m)  # numpy < 2 reads a 2-D b as vectors
@@ -107,10 +92,9 @@ def admm(runs, trace: bool = True) -> list:
     # numpy warnings from the steps before the check.
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
-            it, errors = it + 1, {}
+            it += 1
             # The bound is tried on a run whose last G was zero: runs keep to one of the two.
-            G = _by_run(errors, "", solver._svt, PO.shape, PO + multipliers / penalty,
-                        alpha / penalty, norm_G == 0.0)
+            G = solver._svt(PO + multipliers / penalty, alpha / penalty, norm_G == 0.0)
             Gm = penalty * G - multipliers
             if K is None:
                 Wv_new = (DXV + Gm @ XV) / (a_row + penalty * s_row)
@@ -120,8 +104,7 @@ def admm(runs, trace: bool = True) -> list:
                 F = math.sqrt(penalty) * UtXVt @ R.transpose(_T)
                 Y = F / a_col
                 core = eye + F.transpose(_T) @ Y                      # symmetric
-                x = _by_run(errors, "W-step", np.linalg.solve, (len(live), r, m), core,
-                            (Z @ F).transpose(_T))
+                x = _solve("W-step", core, (Z @ F).transpose(_T))
                 Wv_new = Z - x.transpose(_T) @ Y.transpose(_T)
             norm_Wv, w_change = _norms(Wv_new), _norms(Wv_new - Wv) / np.maximum(1.0, norm_Wv)
             Wv = Wv_new
@@ -129,8 +112,7 @@ def admm(runs, trace: bool = True) -> list:
             if L is not None:
                 Q[:, m:], rhs[:, m:], c[m:] = P, Gm, penalty
                 UtU = Q @ Q.transpose(_T)                                # (2m, 2m)
-                K = _by_run(errors, "O-step", np.linalg.solve, eyes.shape, c * UtU + ridge,
-                            eyes) @ rhs
+                K = _solve("O-step", c * UtU + ridge, eyes) @ rhs
                 # R is above the reflectors of the raw QR
                 raw = np.linalg.qr(K.transpose(_T), mode="raw")[0].transpose(_T)
                 R, T = np.where(upper, raw[:, :r], 0.0), UtU @ K
@@ -138,32 +120,30 @@ def admm(runs, trace: bool = True) -> list:
             residual, norm_G = G - PO, _norms(G)
             primal = _norms(residual) / np.maximum(1.0, norm_G)
             worst = np.maximum(primal, w_change)
-            for i in np.flatnonzero(~np.isfinite(worst)):
+            i = np.isfinite(worst).argmin()            # the first non-finite run, if any
+            if not np.isfinite(worst[i]):
                 hp = hps[live[i]]
-                errors.setdefault(i, NonFiniteIterate(
+                raise NonFiniteIterate(
                     f"iterate is not finite at iteration {it} (relative primal residual"
                     f" {primal[i]:g}, W change {w_change[i]:g}) at alpha={hp.alpha:g}"
-                    f" lambda={hp.lam:g}"))
+                    f" lambda={hp.lam:g}")
             multipliers = multipliers - penalty * residual
             penalty = min(solver.MU_GROWTH * penalty, solver.MU_MAX)
             converged = worst <= tol
             done = converged | (cap == it)
             for i, j in enumerate(live) if trace else ():
-                if i not in errors:
-                    N, o_terms = (P[i], 0.0) if K is None else (UtU[i, m:] @ R[i].T, _norm(
-                        T[i, :m] - L[i]) ** 2 + hps[j].lam * (T[i] * K[i]).sum())
-                    terms[j].append((0.5 * _norm(P[i] - D[i]) ** 2, N,
-                                     hps[j].lam * norm_Wv[i] ** 2, o_terms))
-                    if done[i] or len(terms[j]) == _TRACE_BATCH:
-                        objective[j], terms[j] = objective[j] + _trace(hps[j].alpha, terms[j]), []
-            if errors:
-                done[list(errors)] = True
+                N, o_terms = (P[i], 0.0) if K is None else (UtU[i, m:] @ R[i].T, _norm(
+                    T[i, :m] - L[i]) ** 2 + hps[j].lam * (T[i] * K[i]).sum())
+                terms[j].append((0.5 * _norm(P[i] - D[i]) ** 2, N,
+                                 hps[j].lam * norm_Wv[i] ** 2, o_terms))
+                if done[i] or len(terms[j]) == _TRACE_BATCH:
+                    objective[j], terms[j] = objective[j] + _trace(hps[j].alpha, terms[j]), []
             if not np.count_nonzero(done):
                 continue
             for i in np.flatnonzero(done):
-                out[live[i]] = errors.get(i) or (
-                    Wv[i] @ runs[live[i]][3][1].T, it, float(primal[i]), objective[live[i]],
-                    bool(converged[i]), "converged" if converged[i] else "max_iters")
+                out[live[i]] = (Wv[i] @ runs[live[i]][3][1].T, it, float(primal[i]),
+                                objective[live[i]], bool(converged[i]),
+                                "converged" if converged[i] else "max_iters")
             if done.all():
                 return out
             live, alpha, tol, cap, D, L, XV, DXV, s_row, a_row, a_col, Wv, norm_Wv, norm_G, PO, \

@@ -204,12 +204,11 @@ def cmd_cv(args) -> int:
         def tune(train, runs: Sequence[Run]) -> List[Run]:
             """Inner 5-fold search on the training split, for each run; the
             first candidate with the lowest mean KL wins."""
-            sub = dio.subset(ds, train)
-            inner = _splits(sub.n, 5, args.seed)
+            inner = [(train[a], train[b]) for a, b in _splits(len(train), 5, args.seed)]
             cands = [(tag, variant, hp.replace(alpha=a, lam=l)) for tag, variant, hp in runs
                      for a, l in itertools.product(grid.get("alpha", (hp.alpha,)),
                                                    grid.get("lambda", (hp.lam,)))]
-            kl = [row.scores.kl for row in _rows(sub, cands, inner, not args.no_standardize)]
+            kl = [row.scores.kl for row in _rows(ds, cands, inner, not args.no_standardize)]
             per_run = len(cands) // len(runs)
             return [cands[start + int(np.argmin(kl[start:start + per_run]))]
                     for start in range(0, len(cands), per_run)]

@@ -19,8 +19,10 @@ X's range: W's part in X's null space only adds to lam ||W||^2, so the
 minimizer has none, and no step divides that part's round-off by 2 lam.  A
 command's fits (every run on every training split) go through one call, which
 stacks the runs of one variant and shape and takes each step once for the
-stack.  The loop lives in ``_lockstep``, imported on a process's first stack:
-a command that fits none (predict, evaluate, degrade) never compiles it.
+stack.  The loop, ``_lockstep.admm``, returns each run's result, or raises; a
+stack that fails is fit again one run at a time.  It is imported on a
+process's first stack: a command that fits none (predict, evaluate, degrade,
+an ablation-b train) never compiles it.
 
 The public ``svt``, ``update_w`` and ``update_o`` are single dense steps at a
 given O, outside the loop: the tests build the loop's dense reference from them.
@@ -287,8 +289,9 @@ def _fit_split(X, D, runs, standardize_features: bool = True, add_bias: bool = T
     Its full and ablation-a runs are held with their bases until the held
     runs' inputs reach ``_HELD_BYTES``, and then fit as stacks, one
     ``_lockstep.admm`` per variant and shape and up to ``_STACK_BYTES`` of
-    inputs (or one run).  The first error in run order is raised, as one run at a
-    time would."""
+    inputs (or one run).  ``admm`` returns each run's result, or raises, and
+    a stack of several that raises is fit again one run per stack.  The
+    first error in run order is raised, as one run at a time would."""
     if not isinstance(X, FeatureMatrix):
         X = FeatureMatrix(X)
     D = validate_distribution_matrix(D)
@@ -302,13 +305,19 @@ def _fit_split(X, D, runs, standardize_features: bool = True, add_bias: bool = T
         """Fit the held runs and let their bases go."""
         from ._lockstep import admm
         for group in stacks.values():
-            group.sort(key=lambda entry: entry[0])    # a run's splits together: they stop alike
-            size = max(1, _STACK_BYTES // group[0][1])
-            for start in range(0, len(group), size):
-                chunk = group[start:start + size]
-                for (_, _, index, model, _), res in zip(chunk, admm([e[-1] for e in chunk], trace)):
-                    results[index] = res if isinstance(res, LdlError) else FitResult(
-                        LdlModel(res[0], *model, add_bias), *res[1:])
+            size = max(1, _STACK_BYTES // group[0][0])
+            chunks = [group[start:start + size] for start in range(0, len(group), size)]
+            for chunk in chunks:                # a failed stack's runs join the list one by one
+                try:
+                    fitted = admm([entry[-1] for entry in chunk], trace)
+                except LdlError as exc:
+                    if len(chunk) > 1:
+                        chunks += [[entry] for entry in chunk]
+                    else:
+                        results[chunk[0][1]] = exc
+                    continue
+                for (_, index, model, _), res in zip(chunk, fitted):
+                    results[index] = FitResult(LdlModel(res[0], *model, add_bias), *res[1:])
         stacks.clear()
 
     for train in [None] if splits is None else splits:
@@ -335,7 +344,7 @@ def _fit_split(X, D, runs, standardize_features: bool = True, add_bias: bool = T
             continue
         eigen = functools.cache(lambda gram=gram: _eigh_psd(gram))
         bases = {}
-        for j, (variant, hp) in enumerate(runs):
+        for variant, hp in runs:
             try:
                 variant = Variant(variant)
                 if variant is Variant.ABLATION_B:
@@ -360,7 +369,7 @@ def _fit_split(X, D, runs, standardize_features: bool = True, add_bias: bool = T
                     _check_o_rank(Db, hp.lam)
                 size = sum(x.nbytes for x in (Db, Db, spectrum[0], *spectrum[2:]))
                 stacks.setdefault((variant, Db.shape, spectrum[2].shape), []).append(
-                    (j, size, len(results), (variant, hp, scaler), (Db, Lb, hp, spectrum)))
+                    (size, len(results), (variant, hp, scaler), (Db, Lb, hp, spectrum)))
                 results.append(None)
                 held += size
             except (LdlError, ValueError) as exc:
@@ -369,7 +378,8 @@ def _fit_split(X, D, runs, standardize_features: bool = True, add_bias: bool = T
         if held >= _HELD_BYTES:
             fit_stacks()
             held = 0
-    fit_stacks()
+    if stacks:                              # none held: the loop is not imported
+        fit_stacks()
     for res in results:
         if isinstance(res, Exception):
             raise res

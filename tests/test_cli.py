@@ -499,6 +499,21 @@ def test_no_command_loads_scipy(tmp_path):
         assert not scipy_modules, (argv[0], sorted(scipy_modules))
 
 
+def test_only_commands_that_fit_a_stack_load_the_loop(tmp_path):
+    ds, model = str(tmp_path / "ds.txt"), str(tmp_path / "model.npz")
+    commands = [
+        (("synth", "--n", "40", "--d", "4", "--m", "3", "--out", ds), False),
+        (("train", ds, "--variant", "ablation-b", "--model-out", model), False),
+        (("predict", ds, "--model", model, "--out", str(tmp_path / "p.txt")), False),
+        (("evaluate", ds, "--model", model), False),
+        (("degrade", ds, "--out", str(tmp_path / "ml.txt")), False),
+        (("train", ds, "--model-out", model), True),
+        (("cv", ds, "--folds", "3"), True),
+    ]
+    for argv, loads in commands:
+        assert ("ldlkit._lockstep" in loaded_modules(*argv)) is loads, argv[:3]
+
+
 def test_only_label_names_import_json(tmp_path, parse_cache):
     ds = synth_lowrank(40, 4, 3, 2, 0.1, seed=0)
     for name, imported in (("ds.txt", False), ("ds.csv", True)):   # a CSV names its labels

@@ -1,3 +1,4 @@
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +28,7 @@ from ldlkit import (
 )
 from ldlkit import _lockstep
 from ldlkit.cli import main
-from ldlkit.errors import ShapeMismatch, SingularSystem, SvdFailure
+from ldlkit.errors import LdlError, NonFiniteIterate, ShapeMismatch, SingularSystem, SvdFailure
 
 
 def svt_oracle(A, tau):
@@ -879,18 +880,28 @@ def test_a_fit_records_why_it_stopped():
 @pytest.mark.parametrize("step, error", [
     ("svd", r"SVD did not converge on a \(3, 12\) matrix"),
     ("solve", "O-step system is numerically singular"),
+    ("overflow", r"iterate is not finite at iteration 2 \(relative primal residual nan, "
+                 r"W change nan\) at alpha=1 lambda=0\.1"),
 ])
 def test_a_stacked_call_that_fails_for_one_run_is_that_runs_error(monkeypatch, step, error):
-    # From the fifth stacked G-step SVD (or O-step solve) on, numpy fails for
-    # every call that holds the second run's matrix of that call. The stack
-    # fails as a whole, and the call is redone one run at a time: the second
-    # run ends in its typed error, and the other two are bit-equal to their
-    # fits without the fault.
+    # A stack of three full runs fails as a whole: from the fifth stacked
+    # G-step SVD (or O-step solve) on, numpy fails for every call that holds
+    # the second run's matrix of that call; or, with the penalty starting at
+    # 1e307, the second run's lambda = 0.1 overflows while the others fit.
+    # The stack is then fit again one run per stack: the second run ends in
+    # its typed error, and the other two are bit-equal to their fits without
+    # the fault.
     ds = synth_lowrank(40, 5, 3, 2, 0.1, seed=9)
-    runs = [("full", Hyperparams(alpha=alpha, lam=0.1, max_iters=30))
-            for alpha in (0.01, 0.02, 0.03)]
-    want = solver._fit_split(ds.X, ds.D, runs, trace=False)
-    real, calls, poison = getattr(np.linalg, step), [], []
+    kind = {"svd": SvdFailure, "solve": SingularSystem, "overflow": NonFiniteIterate}[step]
+    if step == "overflow":
+        for name, value in dict(MU0=1e307, MU_MAX=1e308, MU_GROWTH=10.0).items():
+            monkeypatch.setattr(solver, name, value)
+        runs = [("full", Hyperparams(alpha=1.0, lam=lam)) for lam in (1e300, 0.1, 1e301)]
+    else:
+        runs = [("full", Hyperparams(alpha=alpha, lam=0.1, max_iters=30))
+                for alpha in (0.01, 0.02, 0.03)]
+    want = solver._fit_split(ds.X, ds.D, runs[::2], trace=False)
+    real, calls, poison = getattr(np.linalg, step, None), [], []
 
     def failing(A, *args, **kwargs):
         stacked = len(A) == 3 and (step == "svd" or args[0].shape[-1] == 6)
@@ -901,18 +912,30 @@ def test_a_stacked_call_that_fails_for_one_run_is_that_runs_error(monkeypatch, s
             raise np.linalg.LinAlgError("injected")
         return real(A, *args, **kwargs)
 
-    admm, outputs = _lockstep.admm, []
-    monkeypatch.setattr(_lockstep, "admm", lambda stack, trace: outputs.append(
-        admm(stack, trace)) or outputs[-1])
-    monkeypatch.setattr(np.linalg, step, failing)
-    with pytest.raises(SvdFailure if step == "svd" else SingularSystem, match=error):
+    admm, sizes, outcomes = _lockstep.admm, [], []
+
+    def recording(stack, trace):
+        sizes.append(len(stack))
+        try:
+            outcomes.append(admm(stack, trace))
+        except LdlError as exc:
+            outcomes.append(exc)
+            raise
+        return outcomes[-1]
+
+    monkeypatch.setattr(_lockstep, "admm", recording)
+    if step != "overflow":
+        monkeypatch.setattr(np.linalg, step, failing)
+    with pytest.raises(kind, match=error):
         solver._fit_split(ds.X, ds.D, runs, trace=False)
-    first, failed, last = outputs[0]
-    assert isinstance(failed, SvdFailure if step == "svd" else SingularSystem)
-    for (W, iterations, primal, _, converged, _), res in zip([first, last], want[::2]):
+    assert sizes == [3, 1, 1, 1]
+    stacked, first, failed, last = outcomes
+    for exc in (stacked, failed):
+        assert isinstance(exc, kind) and re.search(error, str(exc))
+    for [(W, iterations, primal, _, converged, reason)], res in zip([first, last], want):
         assert W.tobytes() == res.model.W.tobytes()
-        assert (iterations, primal, converged) == (
-            res.iterations_run, res.final_primal_residual, res.converged)
+        assert (iterations, primal, converged, reason) == (
+            res.iterations_run, res.final_primal_residual, res.converged, res.stop_reason)
 
 
 @pytest.mark.parametrize("n, d, blocks", [(1023, 7, 0), (1024, 7, 2), (1500, 7, 3),
