@@ -16,7 +16,6 @@ from .data import (
     load_dataset,
     resolve_data_path,
     save_dataset,
-    subset,
     synth_lowrank,
 )
 from .degrade import degrade, threshold_degrade, topk_degrade
@@ -92,7 +91,6 @@ __all__ = [
     "resolve_data_path",
     "save_dataset",
     "save_model",
-    "subset",
     "svt",
     "synth_lowrank",
     "threshold_degrade",

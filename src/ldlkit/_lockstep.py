@@ -73,7 +73,7 @@ def admm(runs, trace: bool = True) -> list:
     D, XV, DXV, s = (np.stack(x) for x in zip(*[(D, sp[2], sp[3], sp[0]) for D, _, _, sp in runs]))
     alpha, lam, tol, cap = (np.array(x) for x in zip(*[
         (hp.alpha, hp.lam, hp.tol, hp.max_iters) for hp in hps]))
-    (_, m, n), live, norm_G = D.shape, np.arange(len(runs)), np.zeros(len(runs))
+    (_, m, n), live = D.shape, np.arange(len(runs))
     a = s + (2.0 * lam)[:, np.newaxis]                      # eigenvalues of A
     s_row, a_row, a_col = s[:, np.newaxis], a[:, np.newaxis], a[:, :, np.newaxis]
     Wv, XVt, r = DXV / a_row, XV.transpose(_T), min(n, 2 * m)    # the ridge start; R's rows
@@ -93,8 +93,7 @@ def admm(runs, trace: bool = True) -> list:
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
             it += 1
-            # The bound is tried on a run whose last G was zero: runs keep to one of the two.
-            G = solver._svt(PO + multipliers / penalty, alpha / penalty, norm_G == 0.0)
+            G = solver._svt(PO + multipliers / penalty, alpha / penalty)
             Gm = penalty * G - multipliers
             if K is None:
                 Wv_new = (DXV + Gm @ XV) / (a_row + penalty * s_row)
@@ -146,9 +145,9 @@ def admm(runs, trace: bool = True) -> list:
                                 "converged" if converged[i] else "max_iters")
             if done.all():
                 return out
-            live, alpha, tol, cap, D, L, XV, DXV, s_row, a_row, a_col, Wv, norm_Wv, norm_G, PO, \
+            live, alpha, tol, cap, D, L, XV, DXV, s_row, a_row, a_col, Wv, norm_Wv, PO, \
                 multipliers, K, R, Q, rhs, ridge, eyes, UtXV = (
                     None if v is None else v[~done] for v in (
                         live, alpha, tol, cap, D, L, XV, DXV, s_row, a_row, a_col, Wv, norm_Wv,
-                        norm_G, PO, multipliers, K, R, Q, rhs, ridge, eyes, UtXV))
+                        PO, multipliers, K, R, Q, rhs, ridge, eyes, UtXV))
             XVt, UtXVt = XV.transpose(_T), None if UtXV is None else UtXV.transpose(_T)

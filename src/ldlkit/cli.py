@@ -83,13 +83,11 @@ def _rows(ds, runs: Sequence[Run], splits: Sequence[Split], standardize: bool,
           tune=None) -> List[ResultRow]:
     """Each (tag, variant, hp) run's row of test-set scores over the splits.
     The runs are fit on every split's training part in one call, which stacks
-    them; with ``tune(train, runs)``, which picks the runs' hyperparameters
-    from a training part, each split is a call of its own."""
-    calls = (((tune(train, runs), [train]) for train, _ in splits) if tune else
-             [(runs, [train for train, _ in splits])])
-    results = [res for split_runs, trains in calls for res in _fit_split(
-        ds.X, ds.D, [(variant, hp) for _, variant, hp in split_runs], standardize,
-        trace=False, splits=trains)]
+    them; ``tune(train, runs)`` first picks a split's runs' hyperparameters
+    from its training part."""
+    plan = [(train, [(variant, hp) for _, variant, hp in (tune(train, runs) if tune else runs)])
+            for train, _ in splits]
+    results = _fit_split(ds.X, ds.D, plan, standardize, trace=False)
     return [report_row(ds.name, tag, [
         evaluate(ds.D.data[:, test], predict(res.model, ds.X.data[test]))
         for (_, test), res in zip(splits, results[j::len(runs)])])

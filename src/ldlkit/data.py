@@ -1,4 +1,4 @@
-"""Dataset ingestion, synthetic generation, subsetting and CV splitting.
+"""Dataset ingestion, synthetic generation and CV splitting.
 
 Two on-disk formats are supported, told apart by the path's suffix:
 
@@ -37,7 +37,7 @@ import time
 import warnings
 import zlib
 from pathlib import Path
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -261,16 +261,14 @@ def _touch(path) -> None:
 
 
 def _cache_trim(root) -> None:
-    """Remove the least recently used entries beyond ``_CACHE_ENTRIES``, and
-    every ``.npz`` entry of the zip format that entries had before; an entry
-    that another process removes first is passed over."""
-    aged, stale = [], []
+    """Remove the least recently used entries beyond ``_CACHE_ENTRIES``; an
+    entry that another process removes first is passed over."""
+    aged = []
     with contextlib.suppress(OSError):
-        stale = list(root.glob("*.npz"))
         for entry in root.glob("*.npys"):
             with contextlib.suppress(OSError):
                 aged.append((entry.stat().st_mtime_ns, entry))
-    for entry in stale + [entry for _, entry in sorted(aged)[:-_CACHE_ENTRIES]]:
+    for _, entry in sorted(aged)[:-_CACHE_ENTRIES]:
         with contextlib.suppress(OSError):
             entry.unlink()
 
@@ -464,14 +462,3 @@ def kfold(n: int, k: int = 10, seed: int = 42) -> FoldPlan:
         assignments[order[start:start + size]] = fold
         start += size
     return FoldPlan(k=k, assignments=assignments)
-
-
-def subset(ds: Dataset, idx: Sequence[int]) -> Dataset:
-    """Dataset restricted to the given instance indices, under the same name."""
-    idx = np.asarray(idx, dtype=np.int64)
-    return Dataset(
-        ds.name,
-        FeatureMatrix(ds.X.data[idx]),
-        LabelDistributionMatrix(ds.D.data[:, idx]),
-        ds.label_names,
-    )

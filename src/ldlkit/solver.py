@@ -17,7 +17,7 @@ Each step reduces to a 2m x 2m system, so no n x n or d x d system is formed
 not the model.  Nothing is randomized, and numpy suffices.  The loop runs on
 X's range: W's part in X's null space only adds to lam ||W||^2, so the
 minimizer has none, and no step divides that part's round-off by 2 lam.  A
-command's fits (every run on every training split) go through one call, which
+command's fits (each training split with its runs) go through one call, which
 stacks the runs of one variant and shape and takes each step once for the
 stack.  The loop, ``_lockstep.admm``, returns each run's result, or raises; a
 stack that fails is fit again one run at a time.  It is imported on a
@@ -95,17 +95,15 @@ def svt(A: np.ndarray, tau) -> np.ndarray:
     return _svt(np.asarray(A, dtype=np.float64), tau)
 
 
-def _svt(A: np.ndarray, tau: np.ndarray, maybe_zero=True) -> np.ndarray:
-    """:func:`svt` of float A at nonnegative float tau, unchecked, with the
-    bound tried only on the matrices ``maybe_zero`` marks.  Below the bound
-    the SVD's result is exact zeros too, so that choice moves no result."""
+def _svt(A: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """:func:`svt` of float A at nonnegative float tau, unchecked."""
     (rows, cols), zero = A.shape[-2:], False
-    if rows * cols < 1e7 and np.count_nonzero(maybe_zero):
+    if rows * cols < 1e7:
         At = A.swapaxes(-1, -2)
         B = A @ At if rows <= cols else At @ A
         # the bound's test, where tau > 1e-140 (else 0, which no row sum is below)
         zero = (np.abs(B).sum(axis=-1).max(axis=-1, initial=0.0)
-                < tau * tau * (1 - 1e-8) * (tau > 1e-140)) & maybe_zero
+                < tau * tau * (1 - 1e-8) * (tau > 1e-140))
     count = np.count_nonzero(zero)
     if count == np.size(zero):
         return np.zeros(A.shape)
@@ -273,25 +271,27 @@ def fit(
     add_bias : append a constant-1 feature column (recorded on the model)
 
     Non-convergence within ``hp.max_iters`` is not an error; the result simply
-    carries ``converged=False`` and ``stop_reason="max_iters"``.
+    carries ``converged=False`` and ``stop_reason="max_iters"``.  This is the
+    one-run plan of :func:`_fit_split` on all instances.
     """
-    return _fit_split(X, D, [(variant, hp or Hyperparams())],
+    return _fit_split(X, D, [(slice(None), [(variant, hp or Hyperparams())])],
                       standardize_features, add_bias)[0]
 
 
-def _fit_split(X, D, runs, standardize_features: bool = True, add_bias: bool = True,
-               trace: bool = True, splits=None) -> List[FitResult]:
-    """:func:`fit` for each (variant, hp) of ``runs`` on each training split
-    of X and D (index arrays ``splits``; all instances if None), bit for bit
-    and split by split, but with an empty ``objective_trace`` when ``trace``
-    is off.  A split's design, Gram X'X, L per degradation and instance basis
-    are taken once, and X'X's eigendecomposition at most once, on first use.
-    Its full and ablation-a runs are held with their bases until the held
-    runs' inputs reach ``_HELD_BYTES``, and then fit as stacks, one
-    ``_lockstep.admm`` per variant and shape and up to ``_STACK_BYTES`` of
-    inputs (or one run).  ``admm`` returns each run's result, or raises, and
-    a stack of several that raises is fit again one run per stack.  The
-    first error in run order is raised, as one run at a time would."""
+def _fit_split(X, D, plan, standardize_features: bool = True, add_bias: bool = True,
+               trace: bool = True) -> List[FitResult]:
+    """:func:`fit` for each ``(train, runs)`` pair of ``plan``: each (variant,
+    hp) of ``runs`` on X's rows and D's columns ``train`` (an index array or a
+    slice), bit for bit and in plan order, but with an empty ``objective_trace``
+    when ``trace`` is off.  A split's design, Gram X'X, L per degradation and
+    instance basis are taken once, and X'X's eigendecomposition at most once,
+    on first use.  Its full and ablation-a runs are held with their bases
+    until the held runs' inputs reach ``_HELD_BYTES``, and then fit as stacks,
+    across splits, one ``_lockstep.admm`` per variant and shape and up to
+    ``_STACK_BYTES`` of inputs (or one run).  ``admm`` returns each run's
+    result, or raises, and a stack of several that raises is fit again one run
+    per stack.  The first error in plan order is raised, as one run at a time
+    would."""
     if not isinstance(X, FeatureMatrix):
         X = FeatureMatrix(X)
     D = validate_distribution_matrix(D)
@@ -320,8 +320,8 @@ def _fit_split(X, D, runs, standardize_features: bool = True, add_bias: bool = T
                     results[index] = FitResult(LdlModel(res[0], *model, add_bias), *res[1:])
         stacks.clear()
 
-    for train in [None] if splits is None else splits:
-        Xs, Ds = (X.data, D.data) if train is None else (X.data[train], D.data[:, train])
+    for train, runs in plan:
+        Xs, Ds = X.data[train], D.data[:, train]
         try:
             scaler = None
             if standardize_features:
@@ -356,8 +356,7 @@ def _fit_split(X, D, runs, standardize_features: bool = True, add_bias: bool = T
                     continue
                 key = (variant, hp.degradation if variant is Variant.FULL else None)
                 if key not in bases:
-                    L = degrade(D if train is None else Ds, hp.degradation).data \
-                        if variant is Variant.FULL else None
+                    L = degrade(Ds, hp.degradation).data if variant is Variant.FULL else None
                     Xb, Db, Lb = _instance_basis(Xw, Ds, L)
                     s, V = eigen()
                     k = np.count_nonzero(s <= _rank_floor(s))    # s ascends: X's null space first

@@ -21,7 +21,6 @@ from ldlkit import (
     predict,
     resolve_data_path,
     save_dataset,
-    subset,
     synth_lowrank,
 )
 from ldlkit import data as dio
@@ -315,14 +314,6 @@ def test_dataset_shape_consistency():
     D = LabelDistributionMatrix(np.full((2, 4), 0.5))
     with pytest.raises(ShapeMismatch):
         Dataset("x", X, D)
-
-
-def test_subset():
-    ds = synth_lowrank(20, 4, 3, 2, 0.1, seed=2)
-    sub = subset(ds, [1, 5, 7])
-    assert (sub.n, sub.name) == (3, ds.name)
-    np.testing.assert_array_equal(sub.X.data, ds.X.data[[1, 5, 7]])
-    np.testing.assert_array_equal(sub.D.data, ds.D.data[:, [1, 5, 7]])
 
 
 # MatrixText variants that must parse exactly as float() reads each token.
@@ -682,14 +673,6 @@ def test_every_flipped_byte_of_an_entry_means_a_parse(tmp_path, monkeypatch, par
             assert warm.label_names == cold.label_names
             assert len(calls) == pos + 1, pos
     assert entry.read_bytes() == original
-
-
-def test_entries_of_the_zip_format_are_removed(tmp_path, parse_cache):
-    parse_cache.mkdir(parents=True)
-    old = parse_cache / f"{dio._cache_entry(tmp_path / 'tiny.txt').stem}.npz"
-    np.savez(old, digest=np.str_("0" * 64))
-    load_dataset(write(tmp_path, "tiny.txt", MATRIX_TEXT))
-    assert [entry.suffix for entry in parse_cache.iterdir()] == [".npys"]
 
 
 def test_a_piped_dataset_loads_and_leaves_the_cache_empty(tmp_path, parse_cache):
